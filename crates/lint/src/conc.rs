@@ -188,9 +188,9 @@ mod tests {
     #[test]
     fn blocking_call_in_data_path_fn_fires() {
         let files = vec![scan(
-            "crates/served/src/ring.rs",
-            "impl R {\n pub fn try_push(&self) {\n  self.park_handle.lock();\n }\n \
-             pub fn push(&self) { self.park_handle.lock(); }\n}",
+            "crates/served/src/queue.rs",
+            "impl Q {\n pub fn len(&self) {\n  self.inner.lock();\n }\n \
+             pub fn push(&self) { self.inner.lock(); }\n}",
         )];
         let (findings, _, _) = check(&files);
         assert_eq!(findings.len(), 1, "{findings:?}");
@@ -201,8 +201,8 @@ mod tests {
     #[test]
     fn mispaired_release_store_fires() {
         let files = vec![scan(
-            "crates/served/src/ring.rs",
-            "impl R {\n fn a(&self) { self.tail.0.store(1, Ordering::Release); }\n \
+            "crates/served/src/queue.rs",
+            "impl Q {\n fn a(&self) { self.tail.0.store(1, Ordering::Release); }\n \
              fn b(&self) -> usize { self.tail.0.load(Ordering::Relaxed) }\n}",
         )];
         let (findings, table, _) = check(&files);

@@ -77,7 +77,7 @@ pub enum RuleId {
     TransitivePanic,
     /// (C) A direct blocking call (`lock`, `park`, `sleep`, condvar waits,
     /// blocking channel ops) inside a designated lock-free data-path
-    /// function of `ring.rs`/`queue.rs`.
+    /// function of `queue.rs`.
     ConcBlockingCall,
     /// (C) An atomic field stored with `Release` that no `Acquire`-class
     /// load ever observes: the publication has no reader, so either the

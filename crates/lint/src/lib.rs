@@ -20,12 +20,12 @@
 //!   *any* reachable function is flagged, with the entry→…→sink chain as
 //!   evidence (`--graph-report`).
 //! - **(C) concurrency hygiene** — no direct blocking calls in the
-//!   lock-free ring/queue data-path functions; every atomic field published
+//!   ingest queue's lock-free data-path functions; every atomic field published
 //!   with `Release` must be observed by an `Acquire`-class load (and vice
 //!   versa) across the protocol file set; `SeqCst` fences are inventoried.
 //! - **(U) unsafe hygiene** — every `unsafe` block carries `// SAFETY:`,
 //!   every `unsafe fn` a `# Safety` doc section, every `Relaxed` in the
-//!   lock-free modules an `// ordering:` comment; the full inventory is
+//!   ingest queue an `// ordering:` comment; the full inventory is
 //!   reported.
 //! - **(M) metric coverage** — every catalog `MetricDef` is emitted and
 //!   documented, and no metric-name literal escapes the catalog.

@@ -34,7 +34,6 @@ pub const PANIC_FREE_PATHS: &[&str] = &[
     "crates/served/src/shard.rs",
     "crates/served/src/supervisor.rs",
     "crates/served/src/queue.rs",
-    "crates/served/src/ring.rs",
     "crates/served/src/writer.rs",
     // The HTTP front end parses untrusted network bytes; a panic there is
     // a dropped connection at best and a crashed acceptor at worst.
@@ -46,32 +45,22 @@ pub const PANIC_FREE_PATHS: &[&str] = &[
 
 /// Files (workspace-relative, `/`-separated) where every
 /// `Ordering::Relaxed` atomic access must carry an `// ordering:` comment
-/// justifying why no synchronization is needed. These are the lock-free
-/// modules whose correctness rests entirely on the memory-ordering
-/// argument — an undocumented Relaxed there is an unreviewable one.
-pub const ORDERING_DOCUMENTED_PATHS: &[&str] = &[
-    "crates/served/src/ring.rs",
-    "crates/served/src/queue.rs",
-];
+/// justifying why no synchronization is needed. The ingest queue's depth
+/// mirror is read outside its lock; an undocumented Relaxed there is an
+/// unreviewable one.
+pub const ORDERING_DOCUMENTED_PATHS: &[&str] = &["crates/served/src/queue.rs"];
 
 /// Lock-free data-path functions: `(file, fn names)` pairs naming the
-/// functions that sit on the ring/queue fast path and therefore must never
-/// make a *direct* blocking call (`lock`, `park`, `sleep`, condvar waits,
-/// blocking channel ops). The deliberately-blocking siblings (`push`,
-/// `pop_batch`, the park/wake helpers) are not listed — blocking is their
-/// job. The check is per-fn and direct-call only: a listed fn may call a
-/// non-listed helper that blocks (e.g. the wake path locks the tiny park
-/// mutex), which is exactly the boundary the design draws.
-pub const LOCK_FREE_DATA_PATH_FNS: &[(&str, &[&str])] = &[
-    (
-        "crates/served/src/ring.rs",
-        &["len", "slot", "try_push_slot", "try_pop_batch", "try_push", "head_has_room"],
-    ),
-    (
-        "crates/served/src/queue.rs",
-        &["worker_dead", "publish_depth", "len"],
-    ),
-];
+/// functions that must never make a *direct* blocking call (`lock`,
+/// `park`, `sleep`, condvar waits, blocking channel ops): the queue's
+/// crash-flag check and its depth mirror, which metric scraping reads
+/// without contending with ingest. The deliberately-blocking siblings
+/// (`push`, `pop_batch`) are not listed — blocking is their job. The
+/// check is per-fn and direct-call only.
+pub const LOCK_FREE_DATA_PATH_FNS: &[(&str, &[&str])] = &[(
+    "crates/served/src/queue.rs",
+    &["worker_dead", "publish_depth", "len"],
+)];
 
 /// Call names that block the calling thread. Used by the
 /// `conc-blocking-call` rule inside [`LOCK_FREE_DATA_PATH_FNS`].
@@ -97,7 +86,6 @@ pub const BLOCKING_CALL_NAMES: &[&str] = &[
 /// spans the daemon because the protocols do: `state` is stored in
 /// `shard.rs` and loaded in `queue.rs`/`supervisor.rs`.
 pub const ATOMIC_PROTOCOL_PATHS: &[&str] = &[
-    "crates/served/src/ring.rs",
     "crates/served/src/queue.rs",
     "crates/served/src/shard.rs",
     "crates/served/src/supervisor.rs",
@@ -242,14 +230,18 @@ pub struct FileCtx {
 
 impl FileCtx {
     /// Classifies a workspace-relative path. Returns `None` for files the
-    /// linter must not scan (vendored stand-ins, build output, the linter's
-    /// own fixture corpus of deliberate violations).
+    /// linter must not scan (vendored stand-ins, build output, the
+    /// out-of-workspace `benchmark/` package that measures the program from
+    /// outside, the linter's own fixture corpus of deliberate violations).
     pub fn classify(rel_path: &str) -> Option<FileCtx> {
         let p = rel_path.replace('\\', "/");
         if !p.ends_with(".rs") {
             return None;
         }
-        if p.starts_with("vendor/") || p.starts_with("target/") {
+        if ["vendor/", "target/", "benchmark/"]
+            .iter()
+            .any(|dir| p.starts_with(dir))
+        {
             return None;
         }
         if p.starts_with("crates/lint/tests/fixtures/") {
@@ -366,9 +358,9 @@ mod tests {
         assert!(!shard.wall_clock_allowed());
         let sup = FileCtx::classify("crates/served/src/supervisor.rs").unwrap();
         assert!(sup.is_panic_free_path());
-        let ring = FileCtx::classify("crates/served/src/ring.rs").unwrap();
-        assert!(ring.is_panic_free_path());
-        assert!(ring.is_ordering_documented_path());
+        let queue = FileCtx::classify("crates/served/src/queue.rs").unwrap();
+        assert!(queue.is_panic_free_path());
+        assert!(queue.is_ordering_documented_path());
         assert!(!sup.is_ordering_documented_path());
 
         let wire = FileCtx::classify("crates/http/src/wire.rs").unwrap();
@@ -381,6 +373,7 @@ mod tests {
         assert!(cfg.is_model_affecting());
 
         assert!(FileCtx::classify("vendor/rand/src/lib.rs").is_none());
+        assert!(FileCtx::classify("benchmark/src/traffic.rs").is_none());
         assert!(FileCtx::classify("crates/lint/tests/fixtures/bad.rs").is_none());
         assert!(FileCtx::classify("README.md").is_none());
     }

@@ -411,12 +411,12 @@ mod tests {
             }],
             atomic_fields: vec![AtomicFieldSummary {
                 field: "tail".into(),
-                release_stores: vec!["crates/served/src/ring.rs:100".into()],
-                acquire_loads: vec!["crates/served/src/ring.rs:140".into()],
+                release_stores: vec!["crates/served/src/queue.rs:100".into()],
+                acquire_loads: vec!["crates/served/src/queue.rs:140".into()],
                 relaxed: vec![],
             }],
             fences: vec![FenceEntry {
-                site: "crates/served/src/ring.rs:200".into(),
+                site: "crates/served/src/queue.rs:200".into(),
                 ordering: "SeqCst".into(),
             }],
         }
@@ -448,7 +448,7 @@ mod tests {
         assert!(text.contains("[suppressed] `fn row`"));
         assert!(text.contains("scorer.rs:30) -> row"));
         assert!(text.contains("tail: 1 release store(s), 1 acquire load(s), 0 relaxed site(s)"));
-        assert!(text.contains("ring.rs:200 [SeqCst]"));
+        assert!(text.contains("queue.rs:200 [SeqCst]"));
     }
 
     #[test]

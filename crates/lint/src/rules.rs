@@ -768,18 +768,18 @@ mod tests {
     fn relaxed_ordering_requires_comment_in_lockfree_modules() {
         let bad = "fn f(a: &AtomicUsize) -> usize { a.load(Ordering::Relaxed) }";
         assert_eq!(
-            rules_fired("crates/served/src/ring.rs", bad),
+            rules_fired("crates/served/src/queue.rs", bad),
             vec![("unsafe-ordering-undocumented".to_string(), 1)]
         );
         // A same-line or immediately preceding `// ordering:` comment
         // satisfies the rule.
         let inline = "fn f(a: &AtomicUsize) -> usize { a.load(Ordering::Relaxed) // ordering: gauge\n}";
-        assert!(rules_fired("crates/served/src/ring.rs", inline).is_empty());
+        assert!(rules_fired("crates/served/src/queue.rs", inline).is_empty());
         let above = "fn f(a: &AtomicUsize) -> usize {\n    // ordering: Relaxed — monitoring only.\n    a.load(Ordering::Relaxed)\n}";
-        assert!(rules_fired("crates/served/src/ring.rs", above).is_empty());
+        assert!(rules_fired("crates/served/src/queue.rs", above).is_empty());
         // Stronger orderings need no comment; other files are exempt.
         let acq = "fn f(a: &AtomicUsize) -> usize { a.load(Ordering::Acquire) }";
-        assert!(rules_fired("crates/served/src/ring.rs", acq).is_empty());
+        assert!(rules_fired("crates/served/src/queue.rs", acq).is_empty());
         assert!(rules_fired("crates/served/src/metrics.rs", bad).is_empty());
     }
 

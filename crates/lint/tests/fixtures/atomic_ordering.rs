@@ -1,7 +1,7 @@
 //! Fixture: the unsafe-ordering-undocumented (U) rule fires on Relaxed
 //! atomics lacking an `// ordering:` justification in a designated
 //! lock-free module. Scanned by `lint_fixtures.rs` as
-//! `crates/served/src/ring.rs`; never compiled.
+//! `crates/served/src/queue.rs`; never compiled.
 
 fn undocumented(depth: &AtomicUsize) -> usize {
     depth.load(Ordering::Relaxed)

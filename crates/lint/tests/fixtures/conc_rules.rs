@@ -3,15 +3,15 @@
 //! an Acquire load with no publisher. The same blocking call in `push`
 //! (not on the data-path list) stays legal.
 
-impl FixtureRing {
-    pub fn try_push(&self) -> bool {
-        let guard = self.park.lock();
+impl FixtureQueue {
+    pub fn len(&self) -> bool {
+        let guard = self.inner.lock();
         drop(guard);
         self.tail.store(1, Ordering::Release);
         self.head.load(Ordering::Acquire) == 0
     }
 
     pub fn push(&self) {
-        let _ = self.park.lock();
+        let _ = self.inner.lock();
     }
 }

@@ -124,7 +124,7 @@ fn unsafe_fixture_findings_and_inventory() {
 #[test]
 fn atomic_ordering_fixture_fires_only_on_undocumented_relaxed() {
     let fired = fired(
-        "crates/served/src/ring.rs",
+        "crates/served/src/queue.rs",
         include_str!("fixtures/atomic_ordering.rs"),
     );
     // Line 7's Relaxed has no justification; the commented, stronger-
@@ -221,11 +221,11 @@ fn graph_fixtures_cross_file_transitive_panic() {
 #[test]
 fn conc_fixture_fires_blocking_and_pairing_rules() {
     let files = vec![scan_items(
-        "crates/served/src/ring.rs",
+        "crates/served/src/queue.rs",
         include_str!("fixtures/conc_rules.rs"),
     )];
     let (findings, table, _) = conc::check(&files);
-    // `try_push` is on the data-path list, so its `lock` fires (line 8);
+    // `len` is on the data-path list, so its `lock` fires (line 8);
     // `push` is not, so its identical call stays legal. The Release store
     // on `tail` (line 10) and Acquire load on `head` (line 11) each lack
     // their other half.

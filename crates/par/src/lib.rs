@@ -318,8 +318,18 @@ mod tests {
         assert!(default_threads() >= 1);
     }
 
+    /// Serializes the tests that spawn managed workers: each compares the
+    /// process-global `managed_active()` count before and after its own
+    /// worker, which a sibling's live worker would skew.
+    static MANAGED_TESTS: Mutex<()> = Mutex::new(());
+
+    fn managed_test_lock() -> std::sync::MutexGuard<'static, ()> {
+        MANAGED_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn managed_workers_are_counted_and_released() {
+        let _serial = managed_test_lock();
         let before = managed_active();
         let (tx, rx) = std::sync::mpsc::channel::<()>();
         let handle = spawn_managed("ibcm-par-test-worker", move || {
@@ -327,7 +337,7 @@ mod tests {
             rx.recv().ok();
         })
         .unwrap();
-        assert!(managed_active() > before);
+        assert_eq!(managed_active(), before + 1);
         assert!(!handle.is_finished());
         tx.send(()).unwrap();
         handle.join().unwrap();
@@ -337,17 +347,24 @@ mod tests {
 
     #[test]
     fn managed_worker_panic_still_releases_slot() {
+        const NAME: &str = "ibcm-par-test-panicker";
+        let _serial = managed_test_lock();
+        // Keep test output clean: silence the default report for this
+        // worker's deliberate panic only, forwarding every other thread's.
+        static QUIET: std::sync::Once = std::sync::Once::new();
+        QUIET.call_once(|| {
+            let previous = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                if std::thread::current().name() != Some(NAME) {
+                    previous(info);
+                }
+            }));
+        });
         let before = managed_active();
-        let handle = spawn_managed("ibcm-par-test-panicker", || {
-            // The default hook would print a backtrace; keep test output
-            // clean by silencing it for this deliberate panic.
-            let hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let _ = std::panic::catch_unwind(|| panic!("deliberate"));
-            std::panic::set_hook(hook);
-        })
-        .unwrap();
-        handle.join().unwrap();
+        let handle = spawn_managed(NAME, || panic!("deliberate")).unwrap();
+        // The worker really died: its panic surfaces through join, and the
+        // unwinding guard released its slot on the way out.
+        assert!(handle.join().is_err());
         assert_eq!(managed_active(), before);
     }
 

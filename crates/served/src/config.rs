@@ -3,16 +3,6 @@
 
 use ibcm_core::StreamConfig;
 
-/// Which ingest-queue implementation the supervisor→shard channel uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestPath {
-    /// The mutex+condvar bounded queue (PR 7 semantics): conservative
-    /// baseline, retained for comparison benchmarking and as a fallback.
-    Locked,
-    /// The lock-free SPSC ring with spin-then-park hand-off (default).
-    LockFree,
-}
-
 /// Configuration for [`Daemon`](crate::Daemon).
 ///
 /// The defaults are sized for tests and small deployments; production
@@ -50,20 +40,6 @@ pub struct ServedConfig {
     pub backoff_base_ms: u64,
     /// Upper bound on a single restart backoff, in milliseconds.
     pub backoff_cap_ms: u64,
-    /// Which ingest-queue implementation to run. Both produce the same
-    /// byte-deterministic merged alarm stream; [`IngestPath::LockFree`]
-    /// is the throughput path, [`IngestPath::Locked`] the PR 7 baseline.
-    pub ingest: IngestPath,
-    /// How many queued commands a shard worker pops per wakeup. Larger
-    /// runs amortize cross-thread synchronization and stats publication;
-    /// `1` reproduces the PR 7 command-at-a-time behavior. Clamped to at
-    /// least 1.
-    pub drain_batch: usize,
-    /// Whether checkpoint rotation (frame encode, tmp write, validate,
-    /// rename) runs on a per-shard background writer thread instead of
-    /// inline on the worker's ingest path. Rotation semantics, keep-K,
-    /// and crash-restore generation sets are identical either way.
-    pub background_checkpoints: bool,
     /// Stream sessionization, alarm, and fault policy — identical
     /// semantics to a monolithic [`ibcm_core::StreamMonitor`] with this
     /// config. The capacity bound (`faults.max_active_sessions`) is
@@ -74,8 +50,7 @@ pub struct ServedConfig {
 impl ServedConfig {
     /// A config with the given stream semantics and default daemon knobs:
     /// 4 shards, queue capacity 1024, checkpoint every 64 commands,
-    /// keep 3 generations, 8 restarts, 10 ms–2 s backoff, lock-free
-    /// ingest with 32-command drain runs, background checkpoint writer.
+    /// keep 3 generations, 8 restarts, 10 ms–2 s backoff.
     pub fn new(stream: StreamConfig) -> Self {
         ServedConfig {
             shards: 4,
@@ -85,9 +60,6 @@ impl ServedConfig {
             max_restarts: 8,
             backoff_base_ms: 10,
             backoff_cap_ms: 2_000,
-            ingest: IngestPath::LockFree,
-            drain_batch: 32,
-            background_checkpoints: true,
             stream,
         }
     }
@@ -117,35 +89,5 @@ impl ServedConfig {
         self.backoff_base_ms = base_ms;
         self.backoff_cap_ms = cap_ms;
         self
-    }
-
-    /// Returns the config with the given ingest-queue implementation.
-    pub fn with_ingest_path(mut self, path: IngestPath) -> Self {
-        self.ingest = path;
-        self
-    }
-
-    /// Returns the config with the given worker drain-batch size
-    /// (clamped to at least 1 at daemon construction).
-    pub fn with_drain_batch(mut self, batch: usize) -> Self {
-        self.drain_batch = batch;
-        self
-    }
-
-    /// Returns the config with background checkpoint writing enabled or
-    /// disabled (inline, PR 7 semantics).
-    pub fn with_background_checkpoints(mut self, background: bool) -> Self {
-        self.background_checkpoints = background;
-        self
-    }
-
-    /// Returns the config reset to the PR 7 ingest path end to end:
-    /// mutex+condvar queue, command-at-a-time drains, inline checkpoint
-    /// rotation. This is the "before" arm of the `daemon_throughput`
-    /// bench and the reference the lock-free path is byte-compared to.
-    pub fn with_legacy_ingest(self) -> Self {
-        self.with_ingest_path(IngestPath::Locked)
-            .with_drain_batch(1)
-            .with_background_checkpoints(false)
     }
 }

@@ -65,30 +65,21 @@
 //! # Ok::<(), ibcm_served::ServeError>(())
 //! ```
 
-// `unsafe` is denied crate-wide and re-allowed in exactly one module:
-// the lock-free SPSC ingest ring (`ring.rs`), whose every unsafe block
-// carries a `// SAFETY:` argument and which is covered by Miri and
-// model-based proptests. Everything else stays safe Rust.
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod bench_hooks;
 mod campaign;
 mod config;
 mod error;
 mod metrics;
 mod queue;
-mod ring;
 mod rotation;
 mod shard;
 mod supervisor;
 mod writer;
 
-#[doc(hidden)]
-pub use bench_hooks::handoff_items_per_sec;
 pub use campaign::{run_campaign, CampaignReport};
-pub use config::{IngestPath, ServedConfig};
+pub use config::ServedConfig;
 pub use error::ServeError;
 pub use rotation::CheckpointStore;
 pub use shard::ShardStats;

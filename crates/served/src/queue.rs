@@ -1,26 +1,17 @@
 //! The bounded per-shard ingest queue.
 //!
 //! Single-producer (the supervisor thread), single-consumer (the shard
-//! worker) by contract. Two implementations sit behind the
-//! [`IngestQueue`] facade:
-//!
-//! - [`BoundedQueue`]: the original mutex-guarded ring with condvars —
-//!   retained as the comparison baseline (`IngestPath::Locked`) for the
-//!   `daemon_throughput` bench and as the conservative fallback.
-//! - [`SpscRing`](crate::ring::SpscRing): the lock-free ring the daemon
-//!   runs on by default (`IngestPath::LockFree`); see `ring.rs` for the
-//!   memory-ordering story.
-//!
-//! The producer side never blocks indefinitely on a dead consumer:
-//! every wait watches the shard's crashed flag.
+//! worker) by contract: a mutex-guarded `VecDeque` with `not_empty` /
+//! `not_full` condvars and an exact capacity bound. The producer side
+//! never blocks indefinitely on a dead consumer: the full-queue wait
+//! re-checks the shard's crashed flag every 5 ms, so a crashed worker
+//! needs to signal nothing.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::config::IngestPath;
-use crate::ring::SpscRing;
 use crate::shard::{WORKER_CRASHED, WORKER_CRASHED_ON_RESTORE};
 
 /// Result of a blocking push.
@@ -55,7 +46,7 @@ pub(crate) struct BoundedQueue<T> {
     depth: AtomicUsize,
 }
 
-pub(crate) fn worker_dead(state: &AtomicU8) -> bool {
+fn worker_dead(state: &AtomicU8) -> bool {
     let s = state.load(Ordering::Acquire);
     s == WORKER_CRASHED || s == WORKER_CRASHED_ON_RESTORE
 }
@@ -131,9 +122,8 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Blocking single-item pop. The worker path now drains batches
-    /// ([`BoundedQueue::pop_batch`]); this survives as the one-command
-    /// reference the batch semantics are tested against.
+    /// Blocking single-item pop: the one-command reference the batch
+    /// semantics of [`BoundedQueue::pop_batch`] are tested against.
     #[cfg(test)]
     pub(crate) fn pop(&self) -> T {
         let mut q = self.lock();
@@ -173,67 +163,6 @@ impl<T> BoundedQueue<T> {
                 .not_empty
                 .wait(q)
                 .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// The per-shard ingest channel, dispatching to the configured
-/// implementation. Both arms share the push/pop contract (including
-/// crash-flag semantics and exact capacity), so everything above this
-/// facade is path-agnostic — which is what lets the throughput bench
-/// assert byte-equality of the merged alarm stream across paths.
-#[derive(Debug)]
-pub(crate) enum IngestQueue<T> {
-    /// Mutex+condvar baseline (PR 7 semantics, 5 ms crash-poll on the
-    /// full path).
-    Locked(BoundedQueue<T>),
-    /// Lock-free SPSC ring with spin-then-park hand-off.
-    LockFree(SpscRing<T>),
-}
-
-impl<T> IngestQueue<T> {
-    pub(crate) fn new(path: IngestPath, capacity: usize) -> Self {
-        match path {
-            IngestPath::Locked => IngestQueue::Locked(BoundedQueue::new(capacity)),
-            IngestPath::LockFree => IngestQueue::LockFree(SpscRing::new(capacity)),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            IngestQueue::Locked(q) => q.len(),
-            IngestQueue::LockFree(r) => r.len(),
-        }
-    }
-
-    pub(crate) fn push(&self, item: T, worker_state: &AtomicU8) -> PushOutcome {
-        match self {
-            IngestQueue::Locked(q) => q.push(item, worker_state),
-            IngestQueue::LockFree(r) => r.push(item, worker_state),
-        }
-    }
-
-    pub(crate) fn try_push(&self, item: T, worker_state: &AtomicU8) -> TryPushOutcome {
-        match self {
-            IngestQueue::Locked(q) => q.try_push(item, worker_state),
-            IngestQueue::LockFree(r) => r.try_push(item, worker_state),
-        }
-    }
-
-    pub(crate) fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        match self {
-            IngestQueue::Locked(q) => q.pop_batch(out, max),
-            IngestQueue::LockFree(r) => r.pop_batch(out, max),
-        }
-    }
-
-    /// Wakes a producer parked on the full path; the worker's exit path
-    /// calls this after publishing a crashed/drained state. The locked
-    /// baseline needs no wake (its full-path wait polls the crash flag).
-    pub(crate) fn wake_producer(&self) {
-        match self {
-            IngestQueue::Locked(_) => {}
-            IngestQueue::LockFree(r) => r.wake_producer(),
         }
     }
 }
@@ -298,20 +227,150 @@ mod tests {
         assert_eq!(out, vec![3, 4]);
         assert_eq!(q.len(), 0);
     }
+}
 
-    #[test]
-    fn facade_paths_share_semantics() {
-        for path in [IngestPath::Locked, IngestPath::LockFree] {
-            let q = IngestQueue::new(path, 2);
+/// Model-based and threaded property tests.
+#[cfg(test)]
+mod props {
+    use super::*;
+    use std::sync::Arc;
+
+    use proptest::prelude::*;
+
+    use crate::shard::WORKER_RUNNING;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Push(u16),
+        Pop(usize),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            any::<u16>().prop_map(Op::Push),
+            (1usize..5).prop_map(Op::Pop),
+        ]
+    }
+
+    proptest! {
+        /// Single-threaded: every interleaving of try_push/pop_batch
+        /// matches a bounded VecDeque model exactly (contents, outcomes,
+        /// the exact capacity bound, and the depth mirror). Pops are only
+        /// issued against a non-empty model, since `pop_batch` blocks.
+        #[test]
+        fn matches_vecdeque_model(
+            capacity in 1usize..9,
+            ops in proptest::collection::vec(op_strategy(), 1..200),
+        ) {
+            let q = BoundedQueue::new(capacity);
             let state = AtomicU8::new(WORKER_RUNNING);
-            assert_eq!(q.try_push(1, &state), TryPushOutcome::Pushed);
-            assert_eq!(q.try_push(2, &state), TryPushOutcome::Pushed);
-            assert_eq!(q.try_push(3, &state), TryPushOutcome::Full);
-            assert_eq!(q.len(), 2);
-            let mut out = Vec::new();
-            assert_eq!(q.pop_batch(&mut out, 8), 2);
-            assert_eq!(out, vec![1, 2]);
-            q.wake_producer(); // no-op on an idle queue, both paths
+            let mut model: VecDeque<u16> = VecDeque::new();
+            for op in ops {
+                match op {
+                    Op::Push(v) => {
+                        let expect = if model.len() < capacity {
+                            model.push_back(v);
+                            TryPushOutcome::Pushed
+                        } else {
+                            TryPushOutcome::Full
+                        };
+                        prop_assert_eq!(q.try_push(v, &state), expect);
+                    }
+                    Op::Pop(max) if !model.is_empty() => {
+                        let mut got = Vec::new();
+                        let n = q.pop_batch(&mut got, max);
+                        let want: Vec<u16> =
+                            (0..max.min(model.len())).filter_map(|_| model.pop_front()).collect();
+                        prop_assert_eq!(n, want.len());
+                        prop_assert_eq!(got, want);
+                    }
+                    Op::Pop(_) => {}
+                }
+                prop_assert_eq!(q.len(), model.len());
+            }
+        }
+
+        /// Two-threaded: a blocking producer racing a batched consumer
+        /// transfers every item in FIFO order, across capacities and
+        /// batch widths that force both the full and the empty wait.
+        #[test]
+        fn threaded_transfer_is_fifo(
+            capacity in 1usize..8,
+            batch in 1usize..6,
+            items in proptest::collection::vec(any::<u16>(), 1..300),
+        ) {
+            let q = Arc::new(BoundedQueue::new(capacity));
+            let state = Arc::new(AtomicU8::new(WORKER_RUNNING));
+            let total = items.len();
+            let sent = items.clone();
+            let producer = {
+                let q = Arc::clone(&q);
+                let state = Arc::clone(&state);
+                std::thread::spawn(move || {
+                    for item in sent {
+                        assert_eq!(q.push(item, &state), PushOutcome::Pushed);
+                    }
+                })
+            };
+            let mut got = Vec::with_capacity(total);
+            let mut run = Vec::new();
+            while got.len() < total {
+                run.clear();
+                let n = q.pop_batch(&mut run, batch);
+                assert!(n >= 1 && n <= batch);
+                got.extend_from_slice(&run);
+            }
+            producer.join().unwrap();
+            prop_assert_eq!(got, items);
+        }
+
+        /// Crash under contention: flipping the worker state mid-stream
+        /// makes the blocked producer abort within its poll interval, and
+        /// whatever was pushed before the abort arrives in FIFO order
+        /// with nothing duplicated or invented.
+        #[test]
+        fn crash_flag_aborts_blocked_producer(
+            capacity in 1usize..5,
+            crash_after in 0usize..40,
+        ) {
+            let q = Arc::new(BoundedQueue::new(capacity));
+            let state = Arc::new(AtomicU8::new(WORKER_RUNNING));
+            let producer = {
+                let q = Arc::clone(&q);
+                let state = Arc::clone(&state);
+                std::thread::spawn(move || {
+                    // More items than the consumer will ever drain, so the
+                    // producer is reliably blocked when the crash lands.
+                    let mut pushed = 0u32;
+                    for i in 0..10_000u32 {
+                        match q.push(i, &state) {
+                            PushOutcome::Pushed => pushed += 1,
+                            PushOutcome::Crashed => break,
+                        }
+                    }
+                    pushed
+                })
+            };
+            // Consume a bounded prefix, then crash the "worker".
+            let mut got: Vec<u32> = Vec::new();
+            let mut run = Vec::new();
+            while got.len() < crash_after {
+                run.clear();
+                q.pop_batch(&mut run, 4);
+                got.extend_from_slice(&run);
+            }
+            state.store(WORKER_CRASHED, Ordering::Release);
+            let pushed = producer.join().unwrap();
+            // The producer has exited, so the depth mirror is exact: drain
+            // the leftovers. The combined stream must be exactly
+            // 0..pushed in order.
+            while q.len() > 0 {
+                run.clear();
+                q.pop_batch(&mut run, 64);
+                got.extend_from_slice(&run);
+            }
+            let expect: Vec<u32> = (0..pushed).collect();
+            prop_assert_eq!(got, expect);
         }
     }
 }

@@ -1,19 +1,19 @@
 //! The shard worker: one supervised thread running one `StreamMonitor`
 //! over its partition of the session table.
 //!
-//! The worker pops *runs* of commands from its bounded ingest queue
-//! (amortizing cross-thread synchronization over the drain-batch size),
-//! feeds its monitor, publishes alarms (tagged with their global
-//! sequence number) through shared state, and snapshots `IBCS`
-//! checkpoints on a command-count cadence — handing the rotation I/O to
-//! the background writer when one is configured. Stats snapshots are
-//! published once per drained run (and always at drain), not per
-//! command: nothing reads them mid-run, and the processed watermark —
-//! which *is* read mid-run — stays per-command and release-ordered
-//! after the outputs it covers. Panics — including deliberate chaos
-//! kills — are caught at the [`run_worker`] `catch_unwind` boundary;
-//! the worker records its exit state, wakes any producer parked on its
-//! queue, and returns, leaving the restart decision to the supervisor.
+//! The worker pops *runs* of up to [`DRAIN_BATCH`] commands from its
+//! bounded ingest queue (one lock acquisition per run), feeds its
+//! monitor, publishes alarms (tagged with their global sequence number)
+//! through shared state, and snapshots `IBCS` checkpoints on a
+//! command-count cadence — handing the rotation I/O to the shard's
+//! background writer. Stats snapshots are published once per drained run
+//! (and always at drain), not per command: nothing reads them mid-run,
+//! and the processed watermark — which *is* read mid-run — stays
+//! per-command and release-ordered after the outputs it covers. Panics —
+//! including deliberate chaos kills — are caught at the [`run_worker`]
+//! `catch_unwind` boundary; the worker records its exit state and
+//! returns, leaving the restart decision to the supervisor (a producer
+//! blocked on the full queue notices the crash at its next poll).
 //!
 //! This file is on the linter's panic-free hot-path list: the only panic
 //! is the deliberate chaos kill switch, which exists to be caught.
@@ -26,10 +26,15 @@ use ibcm_core::{FaultCounters, MisuseDetector, SessionEvent, StreamConfig, Strea
 use ibcm_logsim::UserId;
 
 use crate::metrics::ShardMetrics;
-use crate::queue::IngestQueue;
-use crate::rotation::{CheckpointStore, Generation};
+use crate::queue::BoundedQueue;
+use crate::rotation::Generation;
 use crate::supervisor::MergedAlarm;
-use crate::writer::CheckpointSink;
+use crate::writer::WriterShared;
+
+/// Commands a worker pops per queue wakeup. Runs amortize the queue lock
+/// and the stats publication; a run never spans more than the queue
+/// holds, so an idle shard still processes single commands promptly.
+pub(crate) const DRAIN_BATCH: usize = 32;
 
 /// Worker state: processing commands.
 pub(crate) const WORKER_RUNNING: u8 = 0;
@@ -118,8 +123,7 @@ pub(crate) struct ShardShared {
     pub(crate) processed: AtomicU64,
     /// Covered seq of the oldest retained checkpoint generation — the
     /// durable floor below which the supervisor may trim its replay
-    /// buffer. Advanced by whoever performs the rotation (the worker
-    /// inline, or the background writer).
+    /// buffer. Advanced by the shard's background writer.
     pub(crate) durable_floor: AtomicU64,
     /// Alarms awaiting collection by the supervisor's merge.
     pub(crate) outputs: Mutex<Vec<MergedAlarm>>,
@@ -157,10 +161,6 @@ pub(crate) struct WorkerPlan {
     pub(crate) stream: StreamConfig,
     /// Checkpoint cadence in processed data commands (0 = drain-only).
     pub(crate) checkpoint_every: u64,
-    /// Keep-K retention for checkpoint rotation.
-    pub(crate) keep: usize,
-    /// Commands popped per queue wakeup (clamped to at least 1).
-    pub(crate) drain_batch: usize,
 }
 
 /// How the worker loop ended.
@@ -180,32 +180,26 @@ struct WorkerCtx<'a> {
     shard: usize,
     suppress_through: u64,
     shared: &'a ShardShared,
-    store: &'a CheckpointStore,
-    sink: &'a CheckpointSink,
+    writer: &'a WriterShared,
     metrics: &'a ShardMetrics,
     checkpoint_every: u64,
-    keep: usize,
     since_checkpoint: u64,
     last_seq: u64,
 }
 
-/// Thread entry point: runs the worker loop under `catch_unwind`,
-/// records the exit state, and wakes any producer parked on the queue
-/// (a parked supervisor must notice the crash without waiting out its
-/// park timeout).
+/// Thread entry point: runs the worker loop under `catch_unwind` and
+/// records the exit state.
 pub(crate) fn run_worker(
     detector: Arc<MisuseDetector>,
     plan: WorkerPlan,
-    queue: Arc<IngestQueue<ShardCommand>>,
+    queue: Arc<BoundedQueue<ShardCommand>>,
     shared: Arc<ShardShared>,
-    store: Arc<CheckpointStore>,
     metrics: ShardMetrics,
-    sink: CheckpointSink,
+    writer: Arc<WriterShared>,
 ) {
     let shared_for_exit = Arc::clone(&shared);
-    let queue_for_exit = Arc::clone(&queue);
     let outcome = catch_unwind(AssertUnwindSafe(move || {
-        worker_loop(&detector, plan, &queue, &shared, &store, &metrics, &sink)
+        worker_loop(&detector, plan, &queue, &shared, &metrics, &writer)
     }));
     let state = match outcome {
         Ok(WorkerExit::Drained) => WORKER_DRAINED,
@@ -213,17 +207,15 @@ pub(crate) fn run_worker(
         Err(_) => WORKER_CRASHED,
     };
     shared_for_exit.state.store(state, Ordering::Release);
-    queue_for_exit.wake_producer();
 }
 
 fn worker_loop(
     detector: &MisuseDetector,
     plan: WorkerPlan,
-    queue: &IngestQueue<ShardCommand>,
+    queue: &BoundedQueue<ShardCommand>,
     shared: &ShardShared,
-    store: &CheckpointStore,
     metrics: &ShardMetrics,
-    sink: &CheckpointSink,
+    writer: &WriterShared,
 ) -> WorkerExit {
     let WorkerPlan {
         shard,
@@ -232,10 +224,7 @@ fn worker_loop(
         suppress_through,
         stream,
         checkpoint_every,
-        keep,
-        drain_batch,
     } = plan;
-    let drain_batch = drain_batch.max(1);
     let mut sm = match restore {
         None => detector.stream_monitor(stream),
         Some(generation) => match detector.restore_stream_monitor(&generation.ibcs) {
@@ -247,11 +236,9 @@ fn worker_loop(
         shard,
         suppress_through,
         shared,
-        store,
-        sink,
+        writer,
         metrics,
         checkpoint_every,
-        keep,
         since_checkpoint: 0,
         last_seq: shared.processed.load(Ordering::Acquire),
     };
@@ -263,10 +250,10 @@ fn worker_loop(
         }
     }
     publish_stats(&sm, ctx.last_seq, shared);
-    let mut batch: Vec<ShardCommand> = Vec::with_capacity(drain_batch);
+    let mut batch: Vec<ShardCommand> = Vec::with_capacity(DRAIN_BATCH);
     loop {
         batch.clear();
-        queue.pop_batch(&mut batch, drain_batch);
+        queue.pop_batch(&mut batch, DRAIN_BATCH);
         metrics.worker_batches.inc();
         for cmd in batch.drain(..) {
             match step(&mut sm, cmd, &mut ctx) {
@@ -309,11 +296,9 @@ fn step(sm: &mut StreamMonitor<'_>, cmd: ShardCommand, ctx: &mut WorkerCtx<'_>) 
         }
         ShardCommand::Drain => {
             write_checkpoint(sm, ctx.last_seq, ctx);
-            if let CheckpointSink::Background(writer) = ctx.sink {
-                // The drain contract is "final checkpoint durable when
-                // the worker exits"; wait out the background rotation.
-                writer.flush();
-            }
+            // The drain contract is "final checkpoint durable when the
+            // worker exits"; wait out the background rotation.
+            ctx.writer.flush();
             publish_stats(sm, ctx.last_seq, ctx.shared);
             Flow::Drained
         }
@@ -379,27 +364,8 @@ fn publish_stats(sm: &StreamMonitor<'_>, processed: u64, shared: &ShardShared) {
     *stats = snapshot;
 }
 
-/// Snapshots the monitor and rotates the checkpoint — inline (PR 7
-/// semantics) or through the shard's background writer, which performs
-/// the identical rotation off the ingest path.
+/// Snapshots the monitor and hands the bytes to the shard's background
+/// writer, which performs the rotation off the ingest path.
 fn write_checkpoint(sm: &StreamMonitor<'_>, covered_seq: u64, ctx: &WorkerCtx<'_>) {
-    let ibcs = sm.checkpoint();
-    match ctx.sink {
-        CheckpointSink::Inline => match ctx.store.save(ctx.shard, covered_seq, &ibcs, ctx.keep) {
-            Ok(receipt) => {
-                if receipt.written {
-                    ctx.metrics.checkpoints_written.inc();
-                    ctx.shared
-                        .durable_floor
-                        .store(receipt.oldest_retained, Ordering::Release);
-                }
-            }
-            Err(_) => {
-                ctx.metrics.checkpoints_failed.inc();
-            }
-        },
-        CheckpointSink::Background(writer) => {
-            writer.submit(covered_seq, ibcs, ctx.metrics);
-        }
-    }
+    ctx.writer.submit(covered_seq, sm.checkpoint(), ctx.metrics);
 }

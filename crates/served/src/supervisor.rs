@@ -40,13 +40,13 @@ use ibcm_par::ManagedHandle;
 use crate::config::ServedConfig;
 use crate::error::ServeError;
 use crate::metrics::{DaemonMetrics, ShardMetrics};
-use crate::queue::IngestQueue;
+use crate::queue::BoundedQueue;
 use crate::rotation::CheckpointStore;
 use crate::shard::{
     run_worker, ShardCommand, ShardShared, ShardStats, WorkerPlan, CHAOS_KILL_MSG,
     WORKER_CRASHED, WORKER_CRASHED_ON_RESTORE, WORKER_DRAINED, WORKER_RUNNING,
 };
-use crate::writer::{CheckpointSink, CheckpointWriter};
+use crate::writer::{CheckpointWriter, WriterShared};
 
 /// An alarm in the merged stream, tagged with its global sequence number
 /// and the shard that produced it. Alarms are released in `seq` order;
@@ -117,13 +117,12 @@ struct DirEntry {
 
 /// Supervisor-side handle to one shard.
 struct ShardHandle {
-    queue: Arc<IngestQueue<ShardCommand>>,
+    queue: Arc<BoundedQueue<ShardCommand>>,
     shared: Arc<ShardShared>,
     handle: Option<ManagedHandle>,
-    /// The shard's background checkpoint writer (`None` when rotation
-    /// runs inline on the worker). Owned by the shard, not the worker
-    /// incarnation: it survives crashes and is joined at drain.
-    writer: Option<CheckpointWriter>,
+    /// The shard's background checkpoint writer. Owned by the shard, not
+    /// the worker incarnation: it survives crashes and is joined at drain.
+    writer: CheckpointWriter,
     metrics: ShardMetrics,
     /// Data commands since the durable floor, for post-crash replay.
     replay: VecDeque<ShardCommand>,
@@ -144,12 +143,6 @@ impl ShardHandle {
     fn crashed(&self) -> bool {
         let s = self.worker_state();
         s == WORKER_CRASHED || s == WORKER_CRASHED_ON_RESTORE
-    }
-
-    fn sink(&self) -> CheckpointSink {
-        self.writer
-            .as_ref()
-            .map_or(CheckpointSink::Inline, |w| CheckpointSink::Background(w.sink()))
     }
 }
 
@@ -297,7 +290,6 @@ impl Daemon {
         // capacity shed plus the delivery itself); a single-slot queue
         // would make such an admission permanently backpressured.
         config.queue_capacity = config.queue_capacity.max(2);
-        config.drain_batch = config.drain_batch.max(1);
         let mut shard_stream = config.stream.clone();
         shard_stream.faults.max_active_sessions = None;
         let store = Arc::new(store);
@@ -307,23 +299,16 @@ impl Daemon {
         let mut shards = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
             store.reset(shard)?;
-            let queue = Arc::new(IngestQueue::new(config.ingest, config.queue_capacity));
+            let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
             let shared = Arc::new(ShardShared::new());
             let shard_metrics = ShardMetrics::for_shard(shard);
-            let writer = if config.background_checkpoints {
-                Some(CheckpointWriter::spawn(
-                    shard,
-                    Arc::clone(&store),
-                    Arc::clone(&shared),
-                    shard_metrics.clone(),
-                    config.keep_checkpoints,
-                )?)
-            } else {
-                None
-            };
-            let sink = writer
-                .as_ref()
-                .map_or(CheckpointSink::Inline, |w| CheckpointSink::Background(w.sink()));
+            let writer = CheckpointWriter::spawn(
+                shard,
+                Arc::clone(&store),
+                Arc::clone(&shared),
+                shard_metrics.clone(),
+                config.keep_checkpoints,
+            )?;
             let plan = WorkerPlan {
                 shard,
                 restore: None,
@@ -331,17 +316,14 @@ impl Daemon {
                 suppress_through: 0,
                 stream: shard_stream.clone(),
                 checkpoint_every: config.checkpoint_every,
-                keep: config.keep_checkpoints,
-                drain_batch: config.drain_batch,
             };
             let handle = spawn_worker(
                 Arc::clone(&detector),
                 plan,
                 Arc::clone(&queue),
                 Arc::clone(&shared),
-                Arc::clone(&store),
                 shard_metrics.clone(),
-                sink,
+                writer.sink(),
             )?;
             shards.push(ShardHandle {
                 queue,
@@ -394,10 +376,9 @@ impl Daemon {
         self.total_restarts
     }
 
-    /// Current depth of every shard's ingest queue. The reads are
-    /// lock-free (and, on the lock-free path, approximate within one
-    /// in-flight transfer), so sampling them never contends with ingest
-    /// — this is the bench's queue-depth histogram source.
+    /// Current depth of every shard's ingest queue. The reads come from a
+    /// lock-free depth mirror, so sampling them never contends with
+    /// ingest — this is the bench's queue-depth histogram source.
     pub fn queue_depths(&self) -> Vec<usize> {
         self.shards.iter().map(|h| h.queue.len()).collect()
     }
@@ -676,14 +657,10 @@ impl Daemon {
     }
 
     /// Blocks until every snapshot already handed to a background
-    /// checkpoint writer is durably rotated. A no-op on the inline
-    /// checkpoint path (`with_background_checkpoints(false)`), where
-    /// rotation completes on the worker thread before the next command.
+    /// checkpoint writer is durably rotated.
     pub fn flush_checkpoints(&self) {
         for h in &self.shards {
-            if let Some(writer) = h.writer.as_ref() {
-                writer.flush();
-            }
+            h.writer.flush();
         }
     }
 
@@ -729,11 +706,11 @@ impl Daemon {
     /// Chaos: corrupt the newest checkpoint generation of `shard` so its
     /// next restore must fall back to the prior generation. Returns
     /// whether a generation was corrupted. Any snapshot in flight to the
-    /// background writer is rotated first, so "newest" means the same
-    /// generation it would on the inline-checkpoint path.
+    /// background writer is rotated first, so "newest" is the newest
+    /// snapshot the worker has taken, not whichever the writer reached.
     pub fn corrupt_newest_checkpoint(&self, shard: usize) -> bool {
-        if let Some(writer) = self.shards.get(shard).and_then(|h| h.writer.as_ref()) {
-            writer.flush();
+        if let Some(h) = self.shards.get(shard) {
+            h.writer.flush();
         }
         self.store.corrupt_newest(shard)
     }
@@ -779,13 +756,10 @@ impl Daemon {
         let store = Arc::clone(&self.store);
         let stream = self.shard_stream.clone();
         let checkpoint_every = self.config.checkpoint_every;
-        let keep = self.config.keep_checkpoints;
         let max_restarts = self.config.max_restarts;
         let base_ms = self.config.backoff_base_ms;
         let cap_ms = self.config.backoff_cap_ms;
         let queue_capacity = self.config.queue_capacity;
-        let ingest = self.config.ingest;
-        let drain_batch = self.config.drain_batch;
         let released_through = self.released_through;
 
         let Some(h) = self.shards.get_mut(shard) else {
@@ -828,10 +802,8 @@ impl Daemon {
         // writer must be durably rotated before corruption scheduling
         // and restore-candidate selection run — this is what keeps the
         // generation set (and therefore every chaos suite's fallback
-        // arithmetic) identical to the inline-checkpoint path.
-        if let Some(writer) = h.writer.as_ref() {
-            writer.flush();
-        }
+        // arithmetic) independent of writer timing.
+        h.writer.flush();
 
         if self.pending_corruptions.remove(&shard) && store.corrupt_newest(shard) {
             self.corruptions_applied += 1;
@@ -885,22 +857,18 @@ impl Daemon {
             suppress_through: processed,
             stream,
             checkpoint_every,
-            keep,
-            drain_batch,
         };
         // Fresh queue: the dead incarnation's queued commands are a
         // subset of the replay buffer, so nothing is lost.
-        h.queue = Arc::new(IngestQueue::new(ingest, queue_capacity));
+        h.queue = Arc::new(BoundedQueue::new(queue_capacity));
         h.shared.state.store(WORKER_RUNNING, Ordering::Release);
-        let sink = h.sink();
         h.handle = Some(spawn_worker(
             detector,
             plan,
             Arc::clone(&h.queue),
             Arc::clone(&h.shared),
-            store,
             h.metrics.clone(),
-            sink,
+            h.writer.sink(),
         )?);
         self.total_restarts += 1;
         Ok(())
@@ -1009,9 +977,7 @@ impl Daemon {
         // Workers flushed their final checkpoints before exiting; stop
         // and join the background writers.
         for h in &mut self.shards {
-            if let Some(writer) = h.writer.as_mut() {
-                writer.shutdown();
-            }
+            h.writer.shutdown();
         }
 
         let alarms = self.release(true);
@@ -1088,15 +1054,14 @@ fn add_counters(a: FaultCounters, b: FaultCounters) -> FaultCounters {
 fn spawn_worker(
     detector: Arc<MisuseDetector>,
     plan: WorkerPlan,
-    queue: Arc<IngestQueue<ShardCommand>>,
+    queue: Arc<BoundedQueue<ShardCommand>>,
     shared: Arc<ShardShared>,
-    store: Arc<CheckpointStore>,
     metrics: ShardMetrics,
-    sink: CheckpointSink,
+    writer: Arc<WriterShared>,
 ) -> Result<ManagedHandle, ServeError> {
     let shard = plan.shard;
     ibcm_par::spawn_managed(format!("ibcm-served-{shard}"), move || {
-        run_worker(detector, plan, queue, shared, store, metrics, sink)
+        run_worker(detector, plan, queue, shared, metrics, writer)
     })
     .map_err(ServeError::Spawn)
 }

@@ -24,8 +24,8 @@
 //! buffer, not a conflation buffer: `submit` waits for the slot (never
 //! skipping a snapshot), and the supervisor flushes the writer before
 //! any restart-time generation read or scheduled corruption. The
-//! resulting rotation sequence is byte-for-byte the sequence the inline
-//! path would have produced.
+//! resulting rotation sequence is byte-for-byte the sequence a writer
+//! rotating every snapshot synchronously would have produced.
 //!
 //! The writer belongs to the *shard*, not the worker incarnation: it
 //! survives crashes and restarts, and is joined at drain (or asked to
@@ -38,15 +38,6 @@ use crate::error::ServeError;
 use crate::metrics::ShardMetrics;
 use crate::rotation::CheckpointStore;
 use crate::shard::ShardShared;
-
-/// Where a worker's checkpoint snapshots go.
-#[derive(Clone)]
-pub(crate) enum CheckpointSink {
-    /// Serialize and rotate inline on the worker thread (PR 7 path).
-    Inline,
-    /// Hand snapshots to the shard's background writer.
-    Background(Arc<WriterShared>),
-}
 
 /// One snapshot awaiting rotation.
 struct Job {
@@ -158,7 +149,7 @@ impl CheckpointWriter {
     /// Waits until every submitted snapshot is rotated. The supervisor
     /// calls this before any restart-time generation read or scheduled
     /// corruption, which is what keeps crash-restore generation sets
-    /// identical to the inline path's.
+    /// independent of writer timing.
     pub(crate) fn flush(&self) {
         self.shared.flush();
     }

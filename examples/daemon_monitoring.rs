@@ -5,13 +5,6 @@
 //! merged alarm stream asserted byte-identical to an undisturbed
 //! single-shard run of the same events.
 //!
-//! Ingest goes through the daemon's *default* hot path — the lock-free
-//! SPSC ring with background checkpoint writers — while the reference
-//! run pins the legacy mutex+condvar path via `with_legacy_ingest()`,
-//! so the equality check below also proves the two ingest paths produce
-//! the same stream (the `daemon_throughput` bench measures how much
-//! faster the default is).
-//!
 //! ```sh
 //! cargo run --release --example daemon_monitoring
 //! ```
@@ -33,23 +26,17 @@ fn line(m: &MergedAlarm) -> String {
 }
 
 /// Runs one daemon over the events; optionally kills a shard mid-run.
-/// `legacy_ingest` pins the pre-overhaul mutex-queue hot path; the
-/// default is the lock-free ring.
 fn run(
     detector: &Arc<ibcm::MisuseDetector>,
     stream: &StreamConfig,
     shards: usize,
     events: &[SessionEvent],
     kill_at: Option<usize>,
-    legacy_ingest: bool,
 ) -> Result<(Vec<String>, ibcm::served::DrainReport), Box<dyn std::error::Error>> {
-    let mut config = ServedConfig::new(stream.clone())
+    let config = ServedConfig::new(stream.clone())
         .with_shards(shards)
         .with_rotation(32, 3)
         .with_supervision(8, 1, 50);
-    if legacy_ingest {
-        config = config.with_legacy_ingest();
-    }
     let mut daemon = Daemon::new(Arc::clone(detector), config, CheckpointStore::memory())?;
     let mut log = Vec::new();
     for (i, event) in events.iter().enumerate() {
@@ -96,17 +83,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dataset.sessions().len()
     );
 
-    // The reference: one shard, no crashes, legacy mutex-queue ingest.
-    let (reference, _) = run(&detector, &stream, 1, &events, None, true)?;
-    println!(
-        "reference (1 shard, no kill, legacy ingest): {} alarms",
-        reference.len()
-    );
+    // The reference: one shard, no crashes.
+    let (reference, _) = run(&detector, &stream, 1, &events, None)?;
+    println!("reference (1 shard, no kill): {} alarms", reference.len());
 
-    // The run under test: four shards, one killed mid-stream, on the
-    // default lock-free ingest path.
+    // The run under test: four shards, one killed mid-stream.
     let kill_at = events.len() / 2;
-    let (merged, report) = run(&detector, &stream, 4, &events, Some(kill_at), false)?;
+    let (merged, report) = run(&detector, &stream, 4, &events, Some(kill_at))?;
     println!(
         "daemon    (4 shards, kill at event {kill_at}): {} alarms, {} restart(s), \
          restores newest/fallback/fresh = {}/{}/{}",
@@ -130,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the merged alarm stream must be byte-identical to the single-shard reference"
     );
     assert!(report.restarts >= 1, "the kill must have forced a restart");
-    println!("OK: merged stream byte-identical across shard count, crash, and ingest path");
+    println!("OK: merged stream byte-identical across shard count and crash");
 
     for l in merged.iter().take(5) {
         println!("  {l}");
