@@ -1,6 +1,6 @@
 use ibcm_lm::LmTrainConfig;
 use ibcm_ocsvm::{Kernel, OcSvmConfig};
-use ibcm_topics::{EnsembleConfig, SamplerKind};
+use ibcm_topics::EnsembleConfig;
 use ibcm_viz::{SimulatedExpertConfig, TsneConfig};
 use serde::{Deserialize, Serialize};
 
@@ -24,9 +24,6 @@ pub struct PipelineConfig {
     pub runs_per_count: usize,
     /// Gibbs sweeps per LDA run.
     pub lda_iterations: usize,
-    /// LDA sweep implementation. Dense and sparse produce bit-identical
-    /// chains per seed; the profiles default to the faster sparse sampler.
-    pub lda_sampler: SamplerKind,
     /// Simulated-expert settings (target clusters, coverage threshold).
     pub expert: SimulatedExpertConfig,
     /// OC-SVM ν.
@@ -63,7 +60,6 @@ impl PipelineConfig {
             topic_counts: vec![4, 6],
             runs_per_count: 1,
             lda_iterations: 30,
-            lda_sampler: SamplerKind::Sparse,
             expert: SimulatedExpertConfig {
                 target_clusters: 4,
                 min_cluster_sessions: 10,
@@ -97,7 +93,6 @@ impl PipelineConfig {
             topic_counts: vec![10, 13, 16],
             runs_per_count: 2,
             lda_iterations: 60,
-            lda_sampler: SamplerKind::Sparse,
             expert: SimulatedExpertConfig {
                 target_clusters: 13,
                 min_cluster_sessions: 30,
@@ -142,7 +137,6 @@ impl PipelineConfig {
             runs_per_count: self.runs_per_count,
             iterations: self.lda_iterations,
             seed: self.seed,
-            sampler: self.lda_sampler,
             ..EnsembleConfig::standard(vocab, self.seed)
         }
     }

@@ -19,75 +19,12 @@ fn scoring_metrics() -> &'static ScoringMetrics {
     })
 }
 
-/// Which execution strategy [`MisuseDetector::score_sessions`] uses.
-///
-/// Both modes produce **bit-identical verdicts** (the batched kernels
-/// replay the per-session operation order exactly — see DESIGN.md,
-/// "Batched inference & memory model"); they differ only in how the work
-/// is scheduled:
-///
-/// - [`ScoringMode::PerSession`] walks one session at a time, streaming
-///   every weight matrix from memory once per session per timestep. This
-///   is the latency path: it also observes the per-session
-///   `ibcm_score_session_seconds` histogram.
-/// - [`ScoringMode::Batched`] is the throughput path: sessions are routed
-///   in parallel, grouped by routed cluster, and each group is scored
-///   through [`LstmLm::try_score_sessions_batched`] so a bucket of up to
-///   `max_batch` sessions shares each weight-matrix pass. Bucket-level
-///   timing lands in the `ibcm_lm_batch_*` metrics instead of the
-///   per-session histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScoringMode {
-    /// One session at a time through [`MisuseDetector::score_session`].
-    PerSession,
-    /// Lock-step batched scoring (cluster-grouped buckets).
-    Batched {
-        /// Maximum sessions per lock-step bucket (0 behaves as 1).
-        max_batch: usize,
-    },
-}
-
-impl ScoringMode {
-    /// Bucket width used when `IBCM_SCORING_MODE=batched` does not name
-    /// one. BENCH_pr6.json's `batch_sweep` peaks at 8–32 lanes and
-    /// *regresses* at 128 (1040.8 sessions/sec vs 1333.6 at 8: past ~32
-    /// lanes the gate slab falls out of L2 at the paper's model shape),
-    /// so the default caps at 32; wider widths remain available
-    /// explicitly via `batched:N`. See OPERATIONS.md ("Batched scoring")
-    /// for the sweep data.
-    pub const DEFAULT_MAX_BATCH: usize = 32;
-
-    /// Reads the mode from the `IBCM_SCORING_MODE` environment variable:
-    /// `per-session` (or unset) selects [`ScoringMode::PerSession`],
-    /// `batched` selects [`ScoringMode::Batched`] with
-    /// [`ScoringMode::DEFAULT_MAX_BATCH`] lanes, and `batched:N` selects a
-    /// bucket width of `N`. Anything else degrades to the per-session
-    /// path — a typo must not change behavior, and scores are identical
-    /// either way.
-    pub fn from_env() -> Self {
-        match std::env::var("IBCM_SCORING_MODE") {
-            Ok(raw) => Self::parse(&raw),
-            Err(_) => ScoringMode::PerSession,
-        }
-    }
-
-    fn parse(raw: &str) -> Self {
-        let lower = raw.trim().to_ascii_lowercase();
-        if lower == "batched" {
-            return ScoringMode::Batched {
-                max_batch: Self::DEFAULT_MAX_BATCH,
-            };
-        }
-        if let Some(rest) = lower.strip_prefix("batched:") {
-            if let Ok(n) = rest.trim().parse::<usize>() {
-                if n >= 1 {
-                    return ScoringMode::Batched { max_batch: n };
-                }
-            }
-        }
-        ScoringMode::PerSession
-    }
-}
+/// Sessions per lock-step bucket in [`MisuseDetector::score_sessions`].
+/// BENCH_pr6.json's `batch_sweep` peaks at 8–32 lanes and *regresses* at
+/// 128 (1040.8 sessions/sec vs 1333.6 at 8: past ~32 lanes the gate slab
+/// falls out of L2 at the paper's model shape). Any width gives the same
+/// bits; see OPERATIONS.md ("Batched scoring") for the sweep data.
+const MAX_BATCH: usize = 32;
 
 /// The verdict on one session: the cluster it was routed to and its
 /// normality under that cluster's behavior model.
@@ -275,13 +212,22 @@ impl MisuseDetector {
     /// Scores a batch of sessions on `threads` worker threads, preserving
     /// input order.
     ///
-    /// Sessions are independent at inference time, so the batch is chunked
-    /// across the shared [`crate::par`] pool; each verdict lands in the slot
-    /// of its input index, making the output identical to a sequential
-    /// [`MisuseDetector::score_session`] loop at any thread count. `threads`
-    /// of 0 or 1 runs inline. Pass
+    /// This is the throughput path: sessions are routed in parallel,
+    /// grouped by routed cluster, cut into buckets of at most 32 sessions,
+    /// and each bucket is scored in lock-step through
+    /// [`LstmLm::score_sessions_batched`], so the bucket shares each
+    /// weight-matrix pass. The buckets run as independent jobs on the
+    /// shared [`crate::par`] pool, so cluster grouping and thread sharding
+    /// compose. Each lane replays the per-session operation order exactly
+    /// (DESIGN.md, "Batched inference & memory model"), so the output is
+    /// bit-identical to a sequential [`MisuseDetector::score_session`] loop
+    /// at any thread count. `threads` of 0 or 1 runs inline. Pass
     /// [`PipelineConfig::effective_parallelism`](crate::PipelineConfig::effective_parallelism)
     /// to follow the pipeline-wide setting.
+    ///
+    /// Bucket-level timing lands in the `ibcm_lm_batch_*` metrics; the
+    /// per-session `ibcm_score_session_seconds` histogram is observed by
+    /// [`MisuseDetector::score_session`] only.
     ///
     /// # Example
     ///
@@ -306,49 +252,6 @@ impl MisuseDetector {
     where
         S: AsRef<[ActionId]> + Sync,
     {
-        self.score_sessions_mode(sessions, threads, ScoringMode::from_env())
-    }
-
-    /// [`MisuseDetector::score_sessions`] with the execution strategy made
-    /// explicit instead of read from `IBCM_SCORING_MODE`.
-    ///
-    /// Verdicts are bit-identical across modes, thread counts, and bucket
-    /// widths; only scheduling (and therefore throughput) changes. The
-    /// batched mode routes sessions in parallel, groups them by routed
-    /// cluster, cuts each group into buckets of at most `max_batch`
-    /// sessions, and scores the buckets as independent jobs on the shared
-    /// [`ibcm_par`] pool — so cluster grouping and thread sharding compose.
-    pub fn score_sessions_mode<S>(
-        &self,
-        sessions: &[S],
-        threads: usize,
-        mode: ScoringMode,
-    ) -> Vec<SessionVerdict>
-    where
-        S: AsRef<[ActionId]> + Sync,
-    {
-        match mode {
-            ScoringMode::PerSession => {
-                ibcm_par::par_map(threads, sessions, |_, s| self.score_session(s.as_ref()))
-            }
-            ScoringMode::Batched { max_batch } => {
-                self.score_sessions_batched(sessions, threads, max_batch)
-            }
-        }
-    }
-
-    /// The throughput path behind [`ScoringMode::Batched`]: route in
-    /// parallel, group by routed cluster, score each bucket in lock-step.
-    fn score_sessions_batched<S>(
-        &self,
-        sessions: &[S],
-        threads: usize,
-        max_batch: usize,
-    ) -> Vec<SessionVerdict>
-    where
-        S: AsRef<[ActionId]> + Sync,
-    {
-        let max_batch = max_batch.max(1);
         // Routing is per-session and order-preserved; encoding here keeps
         // the scoring jobs borrow-only.
         let routed: Vec<(ClusterId, Vec<usize>)> = ibcm_par::par_map(threads, sessions, |_, s| {
@@ -369,7 +272,7 @@ impl MisuseDetector {
         // this sharding affects wall-clock only.
         let mut jobs: Vec<(usize, &[usize])> = Vec::new();
         for (cluster, indices) in by_cluster.iter().enumerate() {
-            for bucket in indices.chunks(max_batch) {
+            for bucket in indices.chunks(MAX_BATCH) {
                 jobs.push((cluster, bucket));
             }
         }
@@ -381,7 +284,7 @@ impl MisuseDetector {
                 .map(|&i| routed[i].1.as_slice())
                 .collect();
             // ibcm-lint: allow(panic-index, reason = "cluster comes from enumerating self.models")
-            self.models[cluster].score_sessions_batched(&tokens, max_batch)
+            self.models[cluster].score_sessions_batched(&tokens, MAX_BATCH)
         });
         let metrics = scoring_metrics();
         let mut verdicts: Vec<Option<SessionVerdict>> = (0..sessions.len()).map(|_| None).collect();
@@ -434,27 +337,8 @@ impl MisuseDetector {
     where
         S: AsRef<[ActionId]> + Sync,
     {
-        self.rank_suspicious_mode(sessions, top_k, threads, ScoringMode::from_env())
-    }
-
-    /// [`MisuseDetector::rank_suspicious_par`] with the scoring strategy
-    /// made explicit. The ranking — including tie order — is identical at
-    /// any thread count and in either [`ScoringMode`], because the sort
-    /// runs over order-preserved, bit-identical scores.
-    ///
-    /// Returns `(index into the input, verdict)` pairs.
-    pub fn rank_suspicious_mode<S>(
-        &self,
-        sessions: &[S],
-        top_k: usize,
-        threads: usize,
-        mode: ScoringMode,
-    ) -> Vec<(usize, SessionVerdict)>
-    where
-        S: AsRef<[ActionId]> + Sync,
-    {
         let mut scored: Vec<(usize, SessionVerdict)> = self
-            .score_sessions_mode(sessions, threads, mode)
+            .score_sessions(sessions, threads)
             .into_iter()
             .enumerate()
             .filter(|(_, v)| v.score.n_predictions > 0)
@@ -588,116 +472,94 @@ mod tests {
         }
     }
 
+    fn verdict_bits(v: &SessionVerdict) -> (ClusterId, u32, u32, usize) {
+        (
+            v.cluster,
+            v.score.avg_likelihood.to_bits(),
+            v.score.avg_loss.to_bits(),
+            v.score.n_predictions,
+        )
+    }
+
+    /// More than two buckets' worth of ragged sessions (0, 1 and 2 actions
+    /// included) that route mostly to one cluster, so `score_sessions` cuts
+    /// that cluster into several lock-step buckets with a ragged last one.
+    /// Returns the sessions with their sequential `score_session` verdicts.
+    fn bucket_spanning_sessions(d: &MisuseDetector) -> (Vec<Vec<ActionId>>, Vec<SessionVerdict>) {
+        let cycle0 = [0, 1, 2];
+        let cycle1 = [3, 4, 5];
+        let sessions: Vec<Vec<ActionId>> = (0..90usize)
+            .map(|i| {
+                let len = (i * 7) % 23;
+                let cycle = if i % 9 == 4 { &cycle1 } else { &cycle0 };
+                let tokens: Vec<usize> = (0..len).map(|t| cycle[(t + i) % 3]).collect();
+                acts(&tokens)
+            })
+            .collect();
+        let lengths: std::collections::BTreeSet<usize> = sessions.iter().map(Vec::len).collect();
+        assert!([0, 1, 2].iter().all(|l| lengths.contains(l)), "{lengths:?}");
+        let sequential: Vec<SessionVerdict> = sessions.iter().map(|s| d.score_session(s)).collect();
+        let mut per_cluster = vec![0usize; d.n_clusters()];
+        for v in &sequential {
+            per_cluster[v.cluster.index()] += 1;
+        }
+        assert!(
+            per_cluster.iter().any(|&n| n > 2 * MAX_BATCH),
+            "no cluster spans three buckets: {per_cluster:?}"
+        );
+        (sessions, sequential)
+    }
+
+    /// `score_sessions` over several buckets per cluster equals a
+    /// sequential `score_session` loop bit for bit at every thread count.
     #[test]
     fn batched_mode_matches_per_session_bitwise() {
         let d = detector();
-        let sessions: Vec<Vec<ActionId>> = (0..23)
-            .map(|i| match i % 4 {
-                0 => acts(&[0, 1, 2, 0, 1, 2, 0, 1, 2]),
-                1 => acts(&[3, 4, 5, 3, 4]),
-                2 => acts(&[2, 2, 5, 5, 0, 3]),
-                _ => acts(&[0]), // too short to score; still routed
-            })
-            .collect();
-        let per_session = d.score_sessions_mode(&sessions, 1, ScoringMode::PerSession);
-        for max_batch in [1, 3, 64] {
-            for threads in [1, 4] {
-                let batched =
-                    d.score_sessions_mode(&sessions, threads, ScoringMode::Batched { max_batch });
-                assert_eq!(batched.len(), per_session.len());
-                for (i, (b, p)) in batched.iter().zip(&per_session).enumerate() {
-                    assert_eq!(b.cluster, p.cluster, "session {i} routed differently");
-                    assert_eq!(
-                        b.score.avg_likelihood.to_bits(),
-                        p.score.avg_likelihood.to_bits(),
-                        "session {i} likelihood diverged (max_batch {max_batch}, threads {threads})"
-                    );
-                    assert_eq!(
-                        b.score.avg_loss.to_bits(),
-                        p.score.avg_loss.to_bits(),
-                        "session {i} loss diverged"
-                    );
-                    assert_eq!(b.score.n_predictions, p.score.n_predictions);
-                }
-            }
+        let (sessions, sequential) = bucket_spanning_sessions(&d);
+        let want: Vec<_> = sequential.iter().map(verdict_bits).collect();
+        for threads in [0, 1, 2, 4] {
+            let got: Vec<_> = d
+                .score_sessions(&sessions, threads)
+                .iter()
+                .map(verdict_bits)
+                .collect();
+            assert_eq!(got, want, "threads = {threads}");
         }
     }
 
+    /// `rank_suspicious_par` over several buckets per cluster equals a
+    /// ranking of sequential `score_session` verdicts bit for bit.
     #[test]
     fn batched_ranking_matches_per_session_ranking() {
         let d = detector();
-        let sessions: Vec<Vec<ActionId>> = vec![
-            acts(&[0, 1, 2, 0, 1, 2]),
-            acts(&[3, 4, 5, 3, 4, 5]),
-            acts(&[2, 2, 5, 5, 0, 3]),
-            acts(&[0]),
-            acts(&[0, 1, 2, 0, 1, 2, 0]),
-            acts(&[5, 0, 3, 1, 4, 2]),
-        ];
-        let per_session = d.rank_suspicious_mode(&sessions, 4, 1, ScoringMode::PerSession);
-        for threads in [1, 3] {
-            for max_batch in [2, 32] {
-                assert_eq!(
-                    d.rank_suspicious_mode(
-                        &sessions,
-                        4,
-                        threads,
-                        ScoringMode::Batched { max_batch }
-                    ),
-                    per_session,
-                    "threads = {threads}, max_batch = {max_batch}"
-                );
+        let (sessions, sequential) = bucket_spanning_sessions(&d);
+        // The ranking oracle: scorable sessions, stable-sorted by ascending
+        // likelihood, ties by descending loss.
+        let mut ranked: Vec<usize> = (0..sessions.len())
+            .filter(|&i| sequential[i].score.n_predictions > 0)
+            .collect();
+        ranked.sort_by(|&a, &b| {
+            let (a, b) = (&sequential[a].score, &sequential[b].score);
+            a.avg_likelihood
+                .partial_cmp(&b.avg_likelihood)
+                .unwrap()
+                .then(b.avg_loss.partial_cmp(&a.avg_loss).unwrap())
+        });
+        for top_k in [5, sessions.len()] {
+            let want: Vec<_> = ranked
+                .iter()
+                .take(top_k)
+                .map(|&i| (i, verdict_bits(&sequential[i])))
+                .collect();
+            for threads in [1, 3] {
+                let got: Vec<_> = d
+                    .rank_suspicious_par(&sessions, top_k, threads)
+                    .iter()
+                    .map(|(i, v)| (*i, verdict_bits(v)))
+                    .collect();
+                assert_eq!(got, want, "top_k = {top_k}, threads = {threads}");
             }
         }
-    }
-
-    #[test]
-    fn scoring_mode_parses_env_values() {
-        assert_eq!(ScoringMode::parse("per-session"), ScoringMode::PerSession);
-        assert_eq!(
-            ScoringMode::parse("batched"),
-            ScoringMode::Batched {
-                max_batch: ScoringMode::DEFAULT_MAX_BATCH
-            }
-        );
-        assert_eq!(
-            ScoringMode::parse(" Batched:128 "),
-            ScoringMode::Batched { max_batch: 128 }
-        );
-        // Degenerate or unrecognized values fall back to the proven path.
-        assert_eq!(ScoringMode::parse("batched:0"), ScoringMode::PerSession);
-        assert_eq!(ScoringMode::parse("turbo"), ScoringMode::PerSession);
-        assert_eq!(ScoringMode::parse(""), ScoringMode::PerSession);
-    }
-
-    #[test]
-    fn default_batch_width_is_capped_at_32() {
-        // BENCH_pr6 batch_sweep: 128 lanes regresses (1040.8 sessions/s
-        // vs 1333.6 at 8); the unqualified `batched` default must stay
-        // in the sweep's winning 8–32 band. Wider is opt-in only.
-        assert_eq!(ScoringMode::DEFAULT_MAX_BATCH, 32);
-        assert_eq!(
-            ScoringMode::parse("batched"),
-            ScoringMode::Batched { max_batch: 32 }
-        );
-        // Explicit widths still win over the capped default, unclamped.
-        assert_eq!(
-            ScoringMode::parse("batched:128"),
-            ScoringMode::Batched { max_batch: 128 }
-        );
-        assert_eq!(
-            ScoringMode::parse("batched:1"),
-            ScoringMode::Batched { max_batch: 1 }
-        );
-        // Malformed widths (sign, garbage, overflow) degrade safely
-        // instead of guessing.
-        assert_eq!(ScoringMode::parse("batched:-8"), ScoringMode::PerSession);
-        assert_eq!(ScoringMode::parse("batched:lots"), ScoringMode::PerSession);
-        assert_eq!(ScoringMode::parse("batched:"), ScoringMode::PerSession);
-        assert_eq!(
-            ScoringMode::parse("batched:99999999999999999999999999"),
-            ScoringMode::PerSession
-        );
     }
 
     #[test]

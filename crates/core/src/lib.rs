@@ -63,7 +63,7 @@ mod pipeline;
 mod stream;
 
 pub use config::PipelineConfig;
-pub use detector::{MisuseDetector, ScoringMode, SessionVerdict, WeightedVerdict};
+pub use detector::{MisuseDetector, SessionVerdict, WeightedVerdict};
 pub use drift::{DriftConfig, DriftDetector, DriftStatus};
 pub use error::CoreError;
 pub use monitor::{AlarmPolicy, MonitorEvent, OnlineMonitor, SharedMonitor};

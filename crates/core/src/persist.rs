@@ -15,11 +15,7 @@
 //!   block (router, each model) is handed to its decoder as a sub-slice of
 //!   the input, and each tensor is materialized with one bulk conversion —
 //!   so loading from a memory-mapped file allocates nothing but the final
-//!   model parameters. [`MisuseDetector::from_bytes_buffered`] retains the
-//!   original copy-per-block decoder as the equality baseline (same idea
-//!   as the retained reference compute kernels); `perf_baseline`'s
-//!   `ibcd_load` stage measures one against the other and asserts the
-//!   loaded detectors are byte-identical.
+//!   model parameters.
 //! * **`IBCS`** — a checkpoint of a live [`StreamMonitor`]: the stream
 //!   configuration, clock, fault counters and, per active session, the full
 //!   prefix of fed actions. Restoring replays each prefix through a fresh
@@ -76,69 +72,26 @@ fn envelope(magic: &[u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
     buf.to_vec()
 }
 
-/// Opens a checksummed envelope, returning `(version, payload)`.
-fn open_envelope(
-    data: &[u8],
-    magic: &[u8; 4],
-    what: &str,
-    versioned: impl Fn(u32) -> bool,
-) -> Result<(u32, Bytes), CoreError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 8 {
-        return Err(persist_err(format!("{what} header truncated")));
-    }
-    let mut m = [0u8; 4];
-    buf.copy_to_slice(&mut m);
-    if &m != magic {
-        return Err(persist_err(format!("bad {what} magic {m:?}")));
-    }
-    let version = buf.get_u32_le();
-    if !versioned(version) {
-        return Err(persist_err(format!(
-            "unsupported {what} format version {version}"
-        )));
-    }
-    if version == 1 && magic == MAGIC {
-        // Legacy detector files: no envelope; the rest is the payload.
-        return Ok((version, buf));
-    }
-    if buf.remaining() < 8 {
-        return Err(persist_err(format!("{what} length truncated")));
-    }
-    let len = buf.get_u64_le() as usize;
-    if buf.remaining() != len + 8 {
-        return Err(persist_err(format!(
-            "{what} payload length mismatch: header says {len}, {} bytes follow",
-            buf.remaining().saturating_sub(8)
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    buf.copy_to_slice(&mut payload);
-    let stored = buf.get_u64_le();
-    if fnv1a(&payload) != stored {
-        return Err(persist_err(format!("{what} checksum mismatch")));
-    }
-    Ok((version, Bytes::copy_from_slice(&payload)))
-}
-
-/// Borrowed-slice variant of [`open_envelope`]: verifies the magic,
-/// version, length, and FNV-1a checksum **in place** and returns the
+/// Opens a checksummed envelope: verifies the magic, version, length, and
+/// FNV-1a checksum **in place** and returns `(version, payload)` with the
 /// payload as a sub-slice of `data`. Nothing is copied, so the input can
 /// be a memory-mapped region.
-fn open_envelope_zero_copy<'a>(
+fn open_envelope<'a>(
     data: &'a [u8],
     magic: &[u8; 4],
     what: &str,
     versioned: impl Fn(u32) -> bool,
 ) -> Result<(u32, &'a [u8]), CoreError> {
-    if data.len() < 8 {
+    let header = data
+        .split_first_chunk::<4>()
+        .and_then(|(m, rest)| Some((m, rest.split_first_chunk::<4>()?)));
+    let Some((m, (version, rest))) = header else {
         return Err(persist_err(format!("{what} header truncated")));
-    }
-    let (m, rest) = data.split_at(4);
+    };
     if m != magic {
         return Err(persist_err(format!("bad {what} magic {m:?}")));
     }
-    let version = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
+    let version = u32::from_le_bytes(*version);
     if !versioned(version) {
         return Err(persist_err(format!(
             "unsupported {what} format version {version}"
@@ -146,21 +99,21 @@ fn open_envelope_zero_copy<'a>(
     }
     if version == 1 && magic == MAGIC {
         // Legacy detector files: no envelope; the rest is the payload.
-        return Ok((version, &data[8..]));
+        return Ok((version, rest));
     }
-    if data.len() < 16 {
+    let Some((len, rest)) = rest.split_first_chunk::<8>() else {
         return Err(persist_err(format!("{what} length truncated")));
-    }
-    let len = u64::from_le_bytes(data[8..16].try_into().expect("8-byte slice")) as usize;
-    if data.len().saturating_sub(16) != len.saturating_add(8) {
-        return Err(persist_err(format!(
-            "{what} payload length mismatch: header says {len}, {} bytes follow",
-            data.len().saturating_sub(16).saturating_sub(8)
-        )));
-    }
-    let payload = &data[16..16 + len];
-    let stored =
-        u64::from_le_bytes(data[16 + len..].try_into().expect("trailing 8-byte checksum"));
+    };
+    let len = u64::from_le_bytes(*len) as usize;
+    let (payload, stored) = match rest.split_last_chunk::<8>() {
+        Some((payload, stored)) if payload.len() == len => (payload, u64::from_le_bytes(*stored)),
+        _ => {
+            return Err(persist_err(format!(
+                "{what} payload length mismatch: header says {len}, {} bytes follow",
+                rest.len().saturating_sub(8)
+            )))
+        }
+    };
     if fnv1a(payload) != stored {
         return Err(persist_err(format!("{what} checksum mismatch")));
     }
@@ -278,26 +231,7 @@ impl MisuseDetector {
     /// bytes — including any single-byte corruption of a version-2 file,
     /// which the envelope checksum catches.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CoreError> {
-        let (detector, report) = Self::parse(data, false, LstmLm::from_bytes)?;
-        debug_assert!(report.is_clean());
-        Ok(detector)
-    }
-
-    /// The retained copy-per-block loader: identical format and checks,
-    /// but the envelope payload and every inner block are copied into
-    /// owned buffers and the LM tensors are read through the buffered
-    /// decoder ([`ibcm_lm::LstmLm::from_bytes_buffered`]). Kept — like the
-    /// reference compute kernels — as the baseline [`MisuseDetector::from_bytes`]
-    /// is equality-checked and benchmarked against. Prefer `from_bytes`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Persist`] exactly where `from_bytes` does.
-    pub fn from_bytes_buffered(data: &[u8]) -> Result<Self, CoreError> {
-        let (version, payload) = open_envelope(data, MAGIC, "detector", |v| v == 1 || v == 2)?;
-        let owned: Vec<u8> = payload.to_vec();
-        let (detector, report) =
-            Self::parse_payload(version, &owned, false, LstmLm::from_bytes_buffered)?;
+        let (detector, report) = Self::parse(data, false)?;
         debug_assert!(report.is_clean());
         Ok(detector)
     }
@@ -313,28 +247,11 @@ impl MisuseDetector {
     /// fallback itself is corrupt, or when a cluster model is corrupt and
     /// the file carries no fallback to stand in for it.
     pub fn from_bytes_lenient(data: &[u8]) -> Result<(Self, LoadReport), CoreError> {
-        Self::parse(data, true, LstmLm::from_bytes)
+        Self::parse(data, true)
     }
 
-    fn parse(
-        data: &[u8],
-        lenient: bool,
-        decode_model: fn(&[u8]) -> Result<LstmLm, ibcm_lm::LmError>,
-    ) -> Result<(Self, LoadReport), CoreError> {
-        let (version, payload) =
-            open_envelope_zero_copy(data, MAGIC, "detector", |v| v == 1 || v == 2)?;
-        Self::parse_payload(version, payload, lenient, decode_model)
-    }
-
-    /// Walks an already-unwrapped detector payload. Shared by the
-    /// zero-copy and buffered loaders; `decode_model` selects which LM
-    /// decoder reads the inner model blocks.
-    fn parse_payload(
-        version: u32,
-        payload: &[u8],
-        lenient: bool,
-        decode_model: fn(&[u8]) -> Result<LstmLm, ibcm_lm::LmError>,
-    ) -> Result<(Self, LoadReport), CoreError> {
+    fn parse(data: &[u8], lenient: bool) -> Result<(Self, LoadReport), CoreError> {
+        let (version, payload) = open_envelope(data, MAGIC, "detector", |v| v == 1 || v == 2)?;
         let mut payload = SliceCursor::new(payload);
         let lock_in = payload.u32_le("detector lock-in")? as usize;
         if lock_in == 0 {
@@ -352,7 +269,7 @@ impl MisuseDetector {
         let mut report = LoadReport::default();
         for i in 0..n {
             let block = payload.block("model")?;
-            match decode_model(block) {
+            match LstmLm::from_bytes(block) {
                 Ok(model) => models.push(Some(model)),
                 Err(e) if lenient => {
                     report.degraded_clusters.push(i);
@@ -365,7 +282,7 @@ impl MisuseDetector {
         let fallback = if version >= 2 {
             if payload.u8("fallback flag")? == 1 {
                 let block = payload.block("fallback")?;
-                Some(decode_model(block).map_err(|e| persist_err(e.to_string()))?)
+                Some(LstmLm::from_bytes(block).map_err(|e| persist_err(e.to_string()))?)
             } else {
                 None
             }
@@ -541,7 +458,8 @@ impl MisuseDetector {
     /// envelope checksum catches any single-byte corruption) and when the
     /// checkpoint's detector fingerprint does not match this detector.
     pub fn restore_stream_monitor(&self, data: &[u8]) -> Result<StreamMonitor<'_>, CoreError> {
-        let (_, mut p) = open_envelope(data, CKPT_MAGIC, "checkpoint", |v| v == CKPT_VERSION)?;
+        let (_, payload) = open_envelope(data, CKPT_MAGIC, "checkpoint", |v| v == CKPT_VERSION)?;
+        let mut p = Bytes::copy_from_slice(payload);
         need(&p, 12, "checkpoint fingerprint")?;
         let (n_clusters, vocab, lock_in) = (
             p.get_u32_le() as usize,
@@ -762,7 +680,7 @@ mod tests {
         // spread of positions including the header, lengths, and checksum.
         let bytes = detector().to_bytes();
         let step = (bytes.len() / 97).max(1);
-        for i in (0..bytes.len()).step_by(step) {
+        for i in (0..bytes.len()).step_by(step).chain([bytes.len() / 2]) {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
             assert!(
@@ -783,30 +701,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_and_buffered_loaders_agree_bitwise() {
+    fn zero_copy_load_round_trips_bytes() {
         let d = detector().with_fallback(fallback_lm());
         let bytes = d.to_bytes();
         let zero_copy = MisuseDetector::from_bytes(&bytes).unwrap();
-        let buffered = MisuseDetector::from_bytes_buffered(&bytes).unwrap();
         assert_eq!(zero_copy.to_bytes(), bytes, "zero-copy load round-trips");
-        assert_eq!(buffered.to_bytes(), bytes, "buffered load round-trips");
-    }
-
-    #[test]
-    fn buffered_loader_rejects_the_same_corruption() {
-        let bytes = detector().to_bytes();
-        for cut in [0usize, 3, 11, 40, bytes.len() - 1] {
-            assert!(
-                MisuseDetector::from_bytes_buffered(&bytes[..cut]).is_err(),
-                "cut {cut}"
-            );
-        }
-        let mut bad = bytes.clone();
-        bad[bytes.len() / 2] ^= 0x40;
-        assert!(matches!(
-            MisuseDetector::from_bytes_buffered(&bad),
-            Err(CoreError::Persist(_))
-        ));
     }
 
     #[test]

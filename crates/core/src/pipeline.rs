@@ -9,8 +9,7 @@ use crate::detector::MisuseDetector;
 use crate::error::CoreError;
 
 /// Records one training-stage duration on `ibcm_stage_seconds{stage}` —
-/// the registry-side mirror of [`TrainedPipeline::stage_timings`], and the
-/// same series `perf_baseline` exports per benchmark stage.
+/// the registry-side mirror of [`TrainedPipeline::stage_timings`].
 pub(crate) fn observe_stage(stage: &str, seconds: f64) {
     ibcm_obs::names::STAGE_SECONDS
         .histogram_labeled(ibcm_obs::DEFAULT_SECONDS_BUCKETS, &[("stage", stage)])

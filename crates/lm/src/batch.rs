@@ -27,9 +27,8 @@
 //! Per lane, the sequence of rounded floating-point operations is exactly
 //! the per-session scorer's (bias, then the input row, then each reduction
 //! in ascending order — see the `ibcm-nn` batch kernels), so every score is
-//! **bit-identical** to the per-session path in both kernel modes. The
-//! equality suites in `tests/batch_equivalence.rs` and the `perf_baseline`
-//! bench assert this on every run.
+//! **bit-identical** to the per-session path. The equality suite in
+//! `tests/batch_equivalence.rs` asserts this.
 //!
 //! Failure semantics are per-session, not per-batch: an out-of-vocabulary
 //! token fails only that session (with the same [`LmError`] the sequential
@@ -99,8 +98,8 @@ impl LstmLm {
     /// [`LstmLm::try_score_session`] on that session alone.
     ///
     /// Sessions are bucketed by [`plan_buckets`] with at most `max_batch`
-    /// lanes per bucket (0 is treated as 1; 32–128 is a good range at the
-    /// paper's model shape — see `BENCH_pr6.json`). Sessions with fewer
+    /// lanes per bucket (0 is treated as 1; `BENCH_pr6.json`'s sweep peaks
+    /// at 8–32 lanes at the paper's model shape). Sessions with fewer
     /// than 2 actions score as `n = 0` without entering a bucket, exactly
     /// like the sequential path.
     ///

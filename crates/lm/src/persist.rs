@@ -3,19 +3,13 @@
 //! Format (all little-endian): `IBCM` magic, format version, the training
 //! configuration scalars, then the five parameter tensors.
 //!
-//! Two decoders read this format:
-//!
-//! - [`LstmLm::from_bytes`] — the zero-copy path: a borrowed
-//!   [`ibcm_nn::serialize::SliceReader`] cursor walks the input slice in
-//!   place, and each tensor is materialized with **one** bulk
-//!   little-endian conversion. No intermediate owned buffer is ever
-//!   created, so the input can be a memory-mapped region.
-//! - [`LstmLm::from_bytes_buffered`] — the retained reference decoder on
-//!   owned [`Bytes`], kept (like the reference compute kernels) as the
-//!   equality baseline: both decoders must produce byte-identical models,
-//!   and `perf_baseline`'s `ibcd_load` stage asserts exactly that.
+//! [`LstmLm::from_bytes`] decodes it zero-copy: a borrowed
+//! [`ibcm_nn::serialize::SliceReader`] cursor walks the input slice in
+//! place, and each tensor is materialized with **one** bulk little-endian
+//! conversion. No intermediate owned buffer is ever created, so the input
+//! can be a memory-mapped region.
 
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::BytesMut;
 use ibcm_nn::serialize as nns;
 use ibcm_nn::{Dense, LstmLayer, Matrix};
 
@@ -75,9 +69,6 @@ impl LstmLm {
     /// little-endian conversion straight into its final allocation. Pass a
     /// memory-mapped region and nothing but the tensors themselves is ever
     /// materialized.
-    ///
-    /// The retained buffered decoder ([`LstmLm::from_bytes_buffered`])
-    /// accepts exactly the same bytes and produces a byte-identical model.
     ///
     /// # Errors
     ///
@@ -148,84 +139,6 @@ impl LstmLm {
         build_model(config, wx, wh, b, upper_params, dw, db)
     }
 
-    /// The retained reference decoder: reads [`LstmLm::to_bytes`] output
-    /// through owned [`Bytes`] buffers (the pre-zero-copy path). Kept for
-    /// the same reason the naive compute kernels are kept — as the
-    /// baseline the zero-copy decoder is equality-checked and benchmarked
-    /// against. Prefer [`LstmLm::from_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LmError::Persist`] on malformed or truncated bytes.
-    pub fn from_bytes_buffered(data: &[u8]) -> Result<Self, LmError> {
-        let mut buf = Bytes::copy_from_slice(data);
-        let version = nns::read_header(&mut buf)?;
-        if version != FORMAT_VERSION {
-            return Err(LmError::Persist(format!(
-                "unsupported model format version {version}"
-            )));
-        }
-        if buf.remaining() < 4 * 2 + 4 * 2 + 4 + 4 + 4 + 8 + 4 + 1 + 4 {
-            return Err(LmError::Persist("config block truncated".into()));
-        }
-        let vocab = buf.get_u32_le() as usize;
-        let hidden = buf.get_u32_le() as usize;
-        let layers = (buf.get_u32_le() as usize).max(1);
-        let dropout = buf.get_f32_le();
-        let learning_rate = buf.get_f32_le();
-        let batch_size = buf.get_u32_le() as usize;
-        let epochs = buf.get_u32_le() as usize;
-        let clip_norm = buf.get_f32_le();
-        let seed = buf.get_u64_le();
-        let patience = buf.get_u32_le() as usize;
-        let scheme = match buf.get_u8() {
-            0 => BatchScheme::MovingWindow {
-                window: buf.get_u32_le() as usize,
-            },
-            1 => BatchScheme::FullSequence {
-                max_len: buf.get_u32_le() as usize,
-            },
-            x => return Err(LmError::Persist(format!("unknown batch scheme tag {x}"))),
-        };
-        if vocab == 0 || hidden == 0 {
-            return Err(LmError::Persist(
-                "vocab and hidden must be positive".into(),
-            ));
-        }
-        let wx = nns::read_matrix(&mut buf)?;
-        let wh = nns::read_matrix(&mut buf)?;
-        let b = nns::read_vec(&mut buf)?;
-        let mut upper_params = Vec::with_capacity(layers - 1);
-        for _ in 1..layers {
-            let uwx = nns::read_matrix(&mut buf)?;
-            let uwh = nns::read_matrix(&mut buf)?;
-            let ub = nns::read_vec(&mut buf)?;
-            upper_params.push((uwx, uwh, ub));
-        }
-        let dw = nns::read_matrix(&mut buf)?;
-        let db = nns::read_vec(&mut buf)?;
-        if buf.remaining() != 0 {
-            return Err(LmError::Persist(format!(
-                "{} trailing bytes after model payload",
-                buf.remaining()
-            )));
-        }
-        let config = LmTrainConfig {
-            vocab,
-            hidden,
-            layers,
-            dropout,
-            learning_rate,
-            batch_size,
-            epochs,
-            scheme,
-            clip_norm,
-            seed,
-            patience,
-        };
-        build_model(config, wx, wh, b, upper_params, dw, db)
-    }
-
     /// Writes the model to a file.
     ///
     /// # Errors
@@ -247,8 +160,8 @@ impl LstmLm {
     }
 }
 
-/// Shared tail of both decoders: pin every tensor shape to the config and
-/// assemble the model. A bit-flipped dimension must die here, never
+/// The decoder's tail: pin every tensor shape to the config and assemble
+/// the model. A bit-flipped dimension must die here, never
 /// survive into scoring-time indexing.
 #[allow(clippy::type_complexity)]
 fn build_model(
@@ -392,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_and_buffered_decoders_agree_bitwise() {
+    fn zero_copy_decode_round_trips_bytes() {
         let seqs: Vec<Vec<usize>> = (0..8).map(|i| vec![0, 1, 2, i % 3, 1, 2]).collect();
         let cfg = LmTrainConfig {
             vocab: 3,
@@ -406,25 +319,18 @@ mod tests {
         let m = LstmLm::train(&cfg, &seqs, &[]).unwrap();
         let bytes = m.to_bytes();
         let zero_copy = LstmLm::from_bytes(&bytes).unwrap();
-        let buffered = LstmLm::from_bytes_buffered(&bytes).unwrap();
         assert_eq!(zero_copy.to_bytes(), bytes, "zero-copy decode round-trips");
-        assert_eq!(buffered.to_bytes(), bytes, "buffered decode round-trips");
     }
 
     #[test]
-    fn decoders_reject_the_same_corruptions() {
+    fn decoder_rejects_truncation_and_trailing_bytes() {
         let bytes = trained().to_bytes();
         for cut in [0, 3, 7, 20, bytes.len() - 1] {
             assert!(LstmLm::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-            assert!(
-                LstmLm::from_bytes_buffered(&bytes[..cut]).is_err(),
-                "buffered cut {cut}"
-            );
         }
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(LstmLm::from_bytes(&trailing).is_err());
-        assert!(LstmLm::from_bytes_buffered(&trailing).is_err());
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! length, and no bucket exceeds `max_batch`.
 
 use ibcm_lm::{plan_buckets, LmError, LmTrainConfig, LstmLm, SessionScore};
-use ibcm_nn::{set_kernel_mode, KernelMode};
 use proptest::prelude::*;
 
 /// Trains a small but non-trivial model (2 stacked layers, odd sizes so no
@@ -103,9 +102,6 @@ fn equivalence_holds_in_both_kernel_modes() {
     let sessions: Vec<Vec<usize>> = (0..10)
         .map(|i| (0..(3 + 5 * i) % 23).map(|j| (i + j) % 9).collect())
         .collect();
-    set_kernel_mode(KernelMode::Reference);
-    check_equivalence(&lm, &sessions, &[1, 4, 32]);
-    set_kernel_mode(KernelMode::Optimized);
     check_equivalence(&lm, &sessions, &[1, 4, 32]);
 }
 

@@ -7,9 +7,9 @@
 //! implements exactly the pieces that model needs, from scratch:
 //!
 //! - [`Matrix`]: a row-major `f32` matrix with the handful of BLAS-like
-//!   kernels the layers use — blocked, multi-accumulator loops with a
-//!   retained naive [`mod@reference`] implementation and a process-wide
-//!   [`KernelMode`] toggle for A/B timing (both modes are bit-identical),
+//!   kernels the layers use — blocked, multi-accumulator loops, checked bit
+//!   for bit against the retained naive [`mod@reference`] loops by the
+//!   property tests,
 //! - [`LstmLayer`]: a fused LSTM cell unrolled over time with explicit,
 //!   finite-difference-verified backpropagation; every entry point has an
 //!   `_into`/`_scratch` variant threading a reusable [`Scratch`] workspace
@@ -65,5 +65,5 @@ pub use dense::{
 pub use dropout::Dropout;
 pub use error::NnError;
 pub use lstm::{LstmBatchState, LstmCache, LstmGrads, LstmLayer, LstmState, StepInput};
-pub use matrix::{kernel_mode, reference, set_kernel_mode, KernelMode, Matrix};
+pub use matrix::{reference, Matrix};
 pub use scratch::{BatchScratch, Scratch};

@@ -759,56 +759,50 @@ mod tests {
     use super::*;
 
     /// The batched lock-step path must be bitwise identical, lane by lane,
-    /// to stepping each session alone — in both kernel modes.
+    /// to stepping each session alone.
     #[test]
     fn step_batch_matches_per_lane_steps() {
-        use crate::matrix::{kernel_mode, set_kernel_mode, KernelMode};
         let bottom = LstmLayer::new(7, 5, 21);
         let upper = LstmLayer::new(5, 5, 22);
         let sessions: [&[usize]; 3] = [&[0, 3, 6, 2, 5], &[1, 4, 2], &[6]];
-        let saved = kernel_mode();
-        for mode in [KernelMode::Optimized, KernelMode::Reference] {
-            set_kernel_mode(mode);
-            // Per-session trajectories through the two-layer stack.
-            let mut solo: Vec<(LstmState, LstmState)> = sessions
-                .iter()
-                .map(|_| (LstmState::new(5), LstmState::new(5)))
-                .collect();
-            let mut scratch = Scratch::new();
-            for (s, (st0, st1)) in sessions.iter().zip(solo.iter_mut()) {
-                for &a in s.iter() {
-                    bottom.step_scratch(st0, StepInput::Action(a), &mut scratch);
-                    let hidden = st0.hidden().to_vec();
-                    upper.step_dense_scratch(st1, &hidden, &mut scratch);
-                }
+        // Per-session trajectories through the two-layer stack.
+        let mut solo: Vec<(LstmState, LstmState)> = sessions
+            .iter()
+            .map(|_| (LstmState::new(5), LstmState::new(5)))
+            .collect();
+        let mut scratch = Scratch::new();
+        for (s, (st0, st1)) in sessions.iter().zip(solo.iter_mut()) {
+            for &a in s.iter() {
+                bottom.step_scratch(st0, StepInput::Action(a), &mut scratch);
+                let hidden = st0.hidden().to_vec();
+                upper.step_dense_scratch(st1, &hidden, &mut scratch);
             }
-            // The same sessions in lock-step, retiring lanes as they end.
-            let mut b0 = LstmBatchState::new(sessions.len(), 5);
-            let mut b1 = LstmBatchState::new(sessions.len(), 5);
-            let mut bs = BatchScratch::new();
-            let max_len = sessions.iter().map(|s| s.len()).max().unwrap();
-            for t in 0..max_len {
-                let active = sessions.iter().filter(|s| s.len() > t).count();
-                b0.truncate(active);
-                b1.truncate(active);
-                let inputs: Vec<StepInput> = sessions[..active]
-                    .iter()
-                    .map(|s| StepInput::Action(s[t]))
-                    .collect();
-                bottom.step_batch_scratch(&mut b0, &inputs, &mut bs);
-                let below = b0.hiddens().clone();
-                upper.step_batch_dense_scratch(&mut b1, &below, &mut bs);
-                for r in 0..active {
-                    if sessions[r].len() == t + 1 {
-                        // This lane just fed its last action; its final
-                        // state must match the solo run exactly.
-                        assert_eq!(b0.hiddens().row(r), solo[r].0.hidden(), "{mode:?} lane {r}");
-                        assert_eq!(b1.hiddens().row(r), solo[r].1.hidden(), "{mode:?} lane {r}");
-                    }
+        }
+        // The same sessions in lock-step, retiring lanes as they end.
+        let mut b0 = LstmBatchState::new(sessions.len(), 5);
+        let mut b1 = LstmBatchState::new(sessions.len(), 5);
+        let mut bs = BatchScratch::new();
+        let max_len = sessions.iter().map(|s| s.len()).max().unwrap();
+        for t in 0..max_len {
+            let active = sessions.iter().filter(|s| s.len() > t).count();
+            b0.truncate(active);
+            b1.truncate(active);
+            let inputs: Vec<StepInput> = sessions[..active]
+                .iter()
+                .map(|s| StepInput::Action(s[t]))
+                .collect();
+            bottom.step_batch_scratch(&mut b0, &inputs, &mut bs);
+            let below = b0.hiddens().clone();
+            upper.step_batch_dense_scratch(&mut b1, &below, &mut bs);
+            for r in 0..active {
+                if sessions[r].len() == t + 1 {
+                    // This lane just fed its last action; its final state
+                    // must match the solo run exactly.
+                    assert_eq!(b0.hiddens().row(r), solo[r].0.hidden(), "lane {r}");
+                    assert_eq!(b1.hiddens().row(r), solo[r].1.hidden(), "lane {r}");
                 }
             }
         }
-        set_kernel_mode(saved);
     }
 
     #[test]

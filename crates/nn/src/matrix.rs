@@ -1,65 +1,6 @@
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// Which matmul implementations the [`Matrix`] kernel entry points dispatch
-/// to. Both modes produce bit-identical results on finite inputs (enforced by
-/// the property tests in `tests/properties.rs`); the toggle exists so the
-/// `perf_baseline` bench binary can measure the optimized kernels against the
-/// retained naive reference in the same build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Blocked, multi-accumulator kernels; on x86-64 the axpy steps run
-    /// sixteen lanes wide under AVX-512F, eight under AVX2 (separate
-    /// mul/add, never FMA, so the per-element rounding sequence matches
-    /// the scalar loops exactly at any width).
-    Optimized,
-    /// The naive scalar loops retained in [`mod@reference`].
-    Reference,
-}
-
-static USE_REFERENCE_KERNELS: AtomicBool = AtomicBool::new(false);
-
-/// Selects the kernel implementations used process-wide (default:
-/// [`KernelMode::Optimized`]). Intended for benchmarking; results are
-/// bit-identical either way.
-pub fn set_kernel_mode(mode: KernelMode) {
-    USE_REFERENCE_KERNELS.store(mode == KernelMode::Reference, Ordering::Relaxed);
-}
-
-/// The currently selected [`KernelMode`].
-pub fn kernel_mode() -> KernelMode {
-    if USE_REFERENCE_KERNELS.load(Ordering::Relaxed) {
-        KernelMode::Reference
-    } else {
-        KernelMode::Optimized
-    }
-}
-
-#[inline]
-fn use_reference() -> bool {
-    USE_REFERENCE_KERNELS.load(Ordering::Relaxed)
-}
-
-/// Counts one matmul-family dispatch on the global metrics registry
-/// (`ibcm_nn_kernel_calls_total{mode}`), so deployments can verify which
-/// kernel path is live. One relaxed atomic add per kernel call; handles are
-/// cached so the registry is consulted once per mode per process.
-#[inline]
-fn count_kernel_call(reference: bool) {
-    use std::sync::OnceLock;
-    static OPTIMIZED: OnceLock<ibcm_obs::Counter> = OnceLock::new();
-    static REFERENCE: OnceLock<ibcm_obs::Counter> = OnceLock::new();
-    let (cell, mode) = if reference {
-        (&REFERENCE, "reference")
-    } else {
-        (&OPTIMIZED, "optimized")
-    };
-    cell.get_or_init(|| ibcm_obs::names::NN_KERNEL_CALLS.counter_labeled(&[("mode", mode)]))
-        .inc();
-}
 
 /// A dense, row-major `f32` matrix.
 ///
@@ -267,12 +208,6 @@ impl Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner dimensions");
         assert_eq!(out.rows, self.rows, "matmul output rows");
         assert_eq!(out.cols, other.cols, "matmul output cols");
-        let reference = use_reference();
-        count_kernel_call(reference);
-        if reference {
-            reference::matmul_acc_into(self, other, out);
-            return;
-        }
         let n = other.cols;
         let kk = self.cols;
         let b = &other.data;
@@ -356,12 +291,6 @@ impl Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul row counts");
         assert_eq!(out.rows, self.cols, "t_matmul output rows");
         assert_eq!(out.cols, other.cols, "t_matmul output cols");
-        let reference = use_reference();
-        count_kernel_call(reference);
-        if reference {
-            reference::t_matmul_acc_into(self, other, out);
-            return;
-        }
         let n = other.cols;
         let ka = self.cols;
         let m = self.rows;
@@ -421,12 +350,6 @@ impl Matrix {
     pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t column counts");
         out.resize_zeroed(self.rows, other.rows);
-        let reference = use_reference();
-        count_kernel_call(reference);
-        if reference {
-            reference::matmul_t_into(self, other, out);
-            return;
-        }
         let kk = self.cols;
         let n_out = other.rows;
         let b = &other.data;
@@ -501,12 +424,6 @@ impl Matrix {
     pub fn vecmat_acc_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.rows, "vecmat input length");
         assert_eq!(y.len(), self.cols, "vecmat output length");
-        let reference = use_reference();
-        count_kernel_call(reference);
-        if reference {
-            reference::vecmat_acc_into(self, x, y);
-            return;
-        }
         let n = self.cols;
         let w = &self.data;
         let mut r = 0;
@@ -1133,10 +1050,9 @@ mod kernels {
 }
 
 /// The naive scalar kernels the optimized [`Matrix`] methods replaced,
-/// retained verbatim as the reference implementation. The property tests in
+/// retained verbatim as the test oracle: the property tests in
 /// `tests/properties.rs` assert the optimized kernels match these bit for
-/// bit on finite inputs, and [`set_kernel_mode`] can route the `Matrix`
-/// entry points back here so benchmarks can measure both in one build.
+/// bit on finite inputs. No production path calls them.
 ///
 /// Semantic note: these loops skip elements of the left operand that are
 /// exactly `0.0`; the optimized kernels perform those multiply-adds. For
@@ -1150,7 +1066,6 @@ pub mod reference {
     /// # Panics
     ///
     /// Panics if shapes disagree.
-    // ibcm-lint: allow(transitive-panic, reason = "shapes are asserted on entry; row slicing is derived from them")
     pub fn matmul_acc_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         assert_eq!(a.cols, b.rows, "matmul inner dimensions");
         assert_eq!(out.rows, a.rows, "matmul output rows");
@@ -1400,18 +1315,5 @@ mod tests {
         let src = Matrix::uniform(4, 4, 1.0, 44);
         m.copy_from(&src);
         assert_eq!(m, src);
-    }
-
-    #[test]
-    fn kernel_mode_roundtrip_and_agreement() {
-        let a = Matrix::uniform(7, 9, 1.0, 51);
-        let b = Matrix::uniform(9, 6, 1.0, 52);
-        assert_eq!(kernel_mode(), KernelMode::Optimized);
-        let fast = a.matmul(&b);
-        set_kernel_mode(KernelMode::Reference);
-        assert_eq!(kernel_mode(), KernelMode::Reference);
-        let slow = a.matmul(&b);
-        set_kernel_mode(KernelMode::Optimized);
-        assert_eq!(fast, slow, "modes must be bit-identical");
     }
 }

@@ -3,20 +3,13 @@
 //! Format: little-endian `u32` dimensions followed by raw little-endian
 //! `f32` data. Used by `ibcm-lm` to persist trained language models.
 //!
-//! Two reader families share the format:
-//!
-//! - the original [`Bytes`]-cursor readers ([`read_matrix`], [`read_vec`],
-//!   [`read_header`]), which copy the input up front and decode `f32`s one
-//!   at a time — retained as the reference implementation and the "before"
-//!   side of the `ibcd_load` bench stage;
-//! - the zero-copy [`SliceReader`] family ([`read_matrix_slice`] etc.),
-//!   which walks a **borrowed** `&[u8]` — an mmap'd region drops straight
-//!   in — and converts each tensor's data in one bulk little-endian pass.
-//!   The only allocations are the final `Vec<f32>` tensor buffers
-//!   themselves. Both families decode identical bytes to identical tensors
-//!   (asserted in this module's tests and the persistence suites).
+//! Writers append to a [`BytesMut`]. The zero-copy [`SliceReader`] family
+//! ([`read_header_slice`], [`read_matrix_slice`], [`read_vec_slice`]) reads
+//! them back from a **borrowed** `&[u8]` — an mmap'd region drops straight
+//! in — converting each tensor's data in one bulk little-endian pass. The
+//! only allocations are the final `Vec<f32>` tensor buffers themselves.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use crate::error::NnError;
 use crate::matrix::Matrix;
@@ -33,34 +26,6 @@ pub fn write_matrix(buf: &mut BytesMut, m: &Matrix) {
     }
 }
 
-/// Deserializes a matrix from `buf`.
-///
-/// # Errors
-///
-/// Returns [`NnError::Deserialize`] if the buffer is truncated.
-pub fn read_matrix(buf: &mut Bytes) -> Result<Matrix, NnError> {
-    if buf.remaining() < 8 {
-        return Err(NnError::Deserialize("matrix header truncated".into()));
-    }
-    let rows = buf.get_u32_le() as usize;
-    let cols = buf.get_u32_le() as usize;
-    let n = rows
-        .checked_mul(cols)
-        .ok_or_else(|| NnError::Deserialize("matrix size overflow".into()))?;
-    if buf.remaining() < n * 4 {
-        return Err(NnError::Deserialize(format!(
-            "matrix body truncated: need {} bytes, have {}",
-            n * 4,
-            buf.remaining()
-        )));
-    }
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(buf.get_f32_le());
-    }
-    Ok(Matrix::from_vec(rows, cols, data))
-}
-
 /// Serializes an `f32` vector into `buf`.
 pub fn write_vec(buf: &mut BytesMut, v: &[f32]) {
     buf.put_u32_le(v.len() as u32);
@@ -69,49 +34,15 @@ pub fn write_vec(buf: &mut BytesMut, v: &[f32]) {
     }
 }
 
-/// Deserializes an `f32` vector from `buf`.
-///
-/// # Errors
-///
-/// Returns [`NnError::Deserialize`] if the buffer is truncated.
-pub fn read_vec(buf: &mut Bytes) -> Result<Vec<f32>, NnError> {
-    if buf.remaining() < 4 {
-        return Err(NnError::Deserialize("vector header truncated".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n * 4 {
-        return Err(NnError::Deserialize("vector body truncated".into()));
-    }
-    Ok((0..n).map(|_| buf.get_f32_le()).collect())
-}
-
 /// Writes the bundle magic + version header.
 pub fn write_header(buf: &mut BytesMut, version: u32) {
     buf.put_slice(MAGIC);
     buf.put_u32_le(version);
 }
 
-/// Reads and validates the bundle header, returning the version.
-///
-/// # Errors
-///
-/// Returns [`NnError::Deserialize`] on bad magic or truncation.
-pub fn read_header(buf: &mut Bytes) -> Result<u32, NnError> {
-    if buf.remaining() < 8 {
-        return Err(NnError::Deserialize("header truncated".into()));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(NnError::Deserialize(format!("bad magic {magic:?}")));
-    }
-    Ok(buf.get_u32_le())
-}
-
-/// A forward-only cursor over **borrowed** serialized bytes — the zero-copy
-/// counterpart of the [`Bytes`]-based readers above. Slicing never copies;
-/// the lifetime ties every view to the caller's buffer (a file read once, or
-/// an mmap'd region).
+/// A forward-only cursor over **borrowed** serialized bytes. Slicing never
+/// copies; the lifetime ties every view to the caller's buffer (a file read
+/// once, or an mmap'd region).
 ///
 /// # Example
 ///
@@ -221,7 +152,8 @@ impl<'a> SliceReader<'a> {
     }
 }
 
-/// Zero-copy counterpart of [`read_header`].
+/// Reads and validates the bundle header written by [`write_header`],
+/// returning the version.
 ///
 /// # Errors
 ///
@@ -234,7 +166,7 @@ pub fn read_header_slice(r: &mut SliceReader<'_>) -> Result<u32, NnError> {
     r.u32_le("header version")
 }
 
-/// Zero-copy counterpart of [`read_matrix`]: dimensions from the borrowed
+/// Reads a matrix written by [`write_matrix`]: dimensions from the borrowed
 /// slice, data in one bulk conversion.
 ///
 /// # Errors
@@ -250,7 +182,7 @@ pub fn read_matrix_slice(r: &mut SliceReader<'_>) -> Result<Matrix, NnError> {
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-/// Zero-copy counterpart of [`read_vec`].
+/// Reads an `f32` vector written by [`write_vec`].
 ///
 /// # Errors
 ///
@@ -265,7 +197,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slice_reader_matches_buffered_readers() {
+    fn slice_reader_reads_back_header_matrix_and_vec() {
         let m = Matrix::uniform(6, 5, 2.0, 11);
         let v = vec![0.5f32, -1.25, 3.0];
         let mut buf = BytesMut::new();
@@ -274,15 +206,10 @@ mod tests {
         write_vec(&mut buf, &v);
         let bytes = buf.freeze();
 
-        let mut owned = bytes.clone();
-        let ver_a = read_header(&mut owned).unwrap();
-        let m_a = read_matrix(&mut owned).unwrap();
-        let v_a = read_vec(&mut owned).unwrap();
-
         let mut r = SliceReader::new(&bytes);
-        assert_eq!(read_header_slice(&mut r).unwrap(), ver_a);
-        assert_eq!(read_matrix_slice(&mut r).unwrap(), m_a);
-        assert_eq!(read_vec_slice(&mut r).unwrap(), v_a);
+        assert_eq!(read_header_slice(&mut r).unwrap(), 2);
+        assert_eq!(read_matrix_slice(&mut r).unwrap(), m);
+        assert_eq!(read_vec_slice(&mut r).unwrap(), v);
         assert_eq!(r.remaining(), 0);
     }
 
@@ -309,10 +236,11 @@ mod tests {
         let m = Matrix::uniform(7, 3, 2.0, 99);
         let mut buf = BytesMut::new();
         write_matrix(&mut buf, &m);
-        let mut bytes = buf.freeze();
-        let back = read_matrix(&mut bytes).unwrap();
+        let bytes = buf.freeze();
+        let mut r = SliceReader::new(&bytes);
+        let back = read_matrix_slice(&mut r).unwrap();
         assert_eq!(m, back);
-        assert_eq!(bytes.remaining(), 0);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -320,7 +248,8 @@ mod tests {
         let v = vec![1.5f32, -2.25, 0.0];
         let mut buf = BytesMut::new();
         write_vec(&mut buf, &v);
-        let back = read_vec(&mut buf.freeze()).unwrap();
+        let bytes = buf.freeze();
+        let back = read_vec_slice(&mut SliceReader::new(&bytes)).unwrap();
         assert_eq!(v, back);
     }
 
@@ -329,17 +258,30 @@ mod tests {
         let m = Matrix::uniform(4, 4, 1.0, 1);
         let mut buf = BytesMut::new();
         write_matrix(&mut buf, &m);
-        let mut short = buf.freeze().slice(0..10);
-        assert!(matches!(read_matrix(&mut short), Err(NnError::Deserialize(_))));
+        let bytes = buf.freeze();
+        for cut in [0, 7, 10, bytes.len() - 1] {
+            let mut short = SliceReader::new(&bytes[..cut]);
+            assert!(
+                matches!(read_matrix_slice(&mut short), Err(NnError::Deserialize(_))),
+                "cut {cut}"
+            );
+        }
+        let mut vbuf = BytesMut::new();
+        write_vec(&mut vbuf, &[1.0, 2.0]);
+        let vbytes = vbuf.freeze();
+        let mut short = SliceReader::new(&vbytes[..vbytes.len() - 1]);
+        assert!(read_vec_slice(&mut short).is_err());
     }
 
     #[test]
     fn header_round_trip_and_bad_magic() {
         let mut buf = BytesMut::new();
         write_header(&mut buf, 3);
-        assert_eq!(read_header(&mut buf.clone().freeze()).unwrap(), 3);
-        let mut bad = Bytes::from_static(b"NOPE\x01\x00\x00\x00");
-        assert!(read_header(&mut bad).is_err());
+        let bytes = buf.freeze();
+        assert_eq!(read_header_slice(&mut SliceReader::new(&bytes)).unwrap(), 3);
+        assert!(read_header_slice(&mut SliceReader::new(&bytes[..7])).is_err());
+        let mut bad = SliceReader::new(b"NOPE\x01\x00\x00\x00");
+        assert!(read_header_slice(&mut bad).is_err());
     }
 
     #[test]
@@ -347,7 +289,8 @@ mod tests {
         let m = Matrix::zeros(0, 5);
         let mut buf = BytesMut::new();
         write_matrix(&mut buf, &m);
-        let back = read_matrix(&mut buf.freeze()).unwrap();
+        let bytes = buf.freeze();
+        let back = read_matrix_slice(&mut SliceReader::new(&bytes)).unwrap();
         assert_eq!(back.rows(), 0);
         assert_eq!(back.cols(), 5);
     }

@@ -1,6 +1,7 @@
 //! Property-based tests for the neural substrate's algebra, plus the
 //! bit-identity contract between the optimized kernels and the retained
-//! naive [`ibcm_nn::reference`] implementations.
+//! naive [`ibcm_nn::reference`] implementations, which exist only as this
+//! suite's oracle.
 
 use ibcm_nn::{
     clip_global_norm, reference, softmax_in_place, LstmLayer, LstmState, Matrix, Scratch,
@@ -292,5 +293,93 @@ fn degenerate_shapes_match_reference_bitwise() {
         a.vecmat_acc_into(&x, &mut fast);
         reference::vecmat_acc_into(&a, &x, &mut naive);
         assert_eq!(slice_bits(&fast), slice_bits(&naive), "vecmat {m}x{k}");
+    }
+}
+
+/// Output widths around the 8-lane (AVX2) and 16-lane (AVX-512) vector
+/// loops, twice that, and their scalar tails.
+const SIMD_N: [usize; 11] = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40];
+/// Reduction depths through the eight-row `axpy8` block and its four- and
+/// one-row tails.
+const SIMD_K: [usize; 9] = [1, 4, 7, 8, 9, 12, 13, 16, 17];
+/// Row counts across one and two 16-row `LANE_BLOCK`s.
+const SIMD_M: [usize; 5] = [1, 15, 16, 17, 33];
+
+/// A deterministic operand with an exact zero every fifth element, so the
+/// reference loops' zero-skip is exercised alongside the vector bodies.
+fn operand(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut m = Matrix::uniform(rows, cols, 3.0, seed);
+    for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+        if i % 5 == 3 {
+            *v = 0.0;
+        }
+    }
+    m
+}
+
+/// The randomized sweeps above draw dimensions below 7, which never leave
+/// the scalar tails. This grid drives all five kernel entry points through
+/// every SIMD loop body (both vector widths, the `axpy8` block, a second
+/// row block) and checks each against the reference bit for bit.
+#[test]
+fn simd_shapes_match_reference_bitwise() {
+    for m in SIMD_M {
+        for k in SIMD_K {
+            for n in SIMD_N {
+                let a = operand(m, k, 1);
+                let b = operand(k, n, 2);
+
+                // `out (m x n) += a (m x k) * b (k x n)`.
+                let seed = Matrix::uniform(m, n, 1.0, 3);
+                let mut fast = seed.clone();
+                let mut naive = seed.clone();
+                a.matmul_acc_into(&b, &mut fast);
+                reference::matmul_acc_into(&a, &b, &mut naive);
+                assert_eq!(bits(&fast), bits(&naive), "matmul_acc {m}x{k}x{n}");
+
+                // `out (k x n) += a^T * c (m x n)`: the reduction runs over m.
+                let c = operand(m, n, 4);
+                let tseed = Matrix::uniform(k, n, 1.0, 5);
+                let mut fast = tseed.clone();
+                let mut naive = tseed;
+                a.t_matmul_acc_into(&c, &mut fast);
+                reference::t_matmul_acc_into(&a, &c, &mut naive);
+                assert_eq!(bits(&fast), bits(&naive), "t_matmul_acc {m}x{k}x{n}");
+
+                // `out (m x n) = a * bt^T`, bt is `n x k`.
+                let bt = operand(n, k, 6);
+                let mut fast = Matrix::default();
+                let mut naive = Matrix::zeros(m, n);
+                a.matmul_t_into(&bt, &mut fast);
+                reference::matmul_t_into(&a, &bt, &mut naive);
+                assert_eq!(bits(&fast), bits(&naive), "matmul_t {m}x{k}x{n}");
+
+                // `y (n) += x (k)^T * b`.
+                let x = operand(1, k, 7);
+                let y = Matrix::uniform(1, n, 1.0, 8);
+                let mut fast = y.row(0).to_vec();
+                let mut naive = y.row(0).to_vec();
+                b.vecmat_acc_into(x.row(0), &mut fast);
+                reference::vecmat_acc_into(&b, x.row(0), &mut naive);
+                assert_eq!(slice_bits(&fast), slice_bits(&naive), "vecmat {k}x{n}");
+
+                // One-hot rows of `b` added into `m` output rows, against
+                // the reference product with the materialized one-hot.
+                let hot: Vec<Option<usize>> = (0..m)
+                    .map(|r| (r % 3 != 2).then_some((r * 7) % k))
+                    .collect();
+                let mut onehot = Matrix::zeros(m, k);
+                for (r, h) in hot.iter().enumerate() {
+                    if let Some(i) = *h {
+                        onehot.set(r, i, 1.0);
+                    }
+                }
+                let mut fast = seed.clone();
+                let mut naive = seed.clone();
+                b.onehot_matmul_acc_into(&hot, &mut fast);
+                reference::matmul_acc_into(&onehot, &b, &mut naive);
+                assert_eq!(bits(&fast), bits(&naive), "onehot {m}x{k}x{n}");
+            }
+        }
     }
 }

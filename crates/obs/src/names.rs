@@ -242,15 +242,7 @@ pub const STAGE_SECONDS: MetricDef = MetricDef {
     name: "ibcm_stage_seconds",
     kind: MetricKind::Histogram,
     labels: &["stage"],
-    help: "Wall-clock seconds per pipeline/bench stage (lda_ensemble, expert_clustering, cluster_models, lda_fit, lstm_train_epoch, batch_scoring, ibcd_load, chaos_scenario).",
-};
-
-/// Kernels: matmul-family dispatches, by kernel mode.
-pub const NN_KERNEL_CALLS: MetricDef = MetricDef {
-    name: "ibcm_nn_kernel_calls_total",
-    kind: MetricKind::Counter,
-    labels: &["mode"],
-    help: "Matmul-family kernel dispatches by mode (optimized, reference).",
+    help: "Wall-clock seconds per pipeline stage (lda_ensemble, expert_clustering, cluster_models) and per chaos bench scenario.",
 };
 
 /// Daemon: configured shard count.
@@ -416,7 +408,6 @@ pub const ALL: &[MetricDef] = &[
     CLUSTER_GROUPS_SKIPPED,
     DETECTOR_CLUSTERS,
     STAGE_SECONDS,
-    NN_KERNEL_CALLS,
     SERVED_SHARDS,
     SERVED_SHARD_RESTARTS,
     SERVED_RESTART_BACKOFF_MS,

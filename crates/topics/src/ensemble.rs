@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::TopicsError;
-use crate::lda::{Lda, LdaConfig, SamplerKind, TopicModel};
+use crate::lda::{Lda, LdaConfig, TopicModel};
 
 /// Identifier of a topic within an [`Ensemble`]'s flat topic list.
 #[derive(
@@ -56,14 +56,10 @@ pub struct EnsembleConfig {
     pub iterations: usize,
     /// Base seed; member `i` uses `seed + i`.
     pub seed: u64,
-    /// Gibbs sweep implementation for every member. Dense and sparse
-    /// produce bit-identical chains per seed; sparse is faster.
-    pub sampler: SamplerKind,
 }
 
 impl EnsembleConfig {
-    /// A modest default grid around the paper's 13 clusters. Uses the
-    /// sparse sampler (identical results to dense, less work per token).
+    /// A modest default grid around the paper's 13 clusters.
     pub fn standard(vocab: usize, seed: u64) -> Self {
         EnsembleConfig {
             topic_counts: vec![10, 13, 16, 20],
@@ -73,7 +69,6 @@ impl EnsembleConfig {
             beta: 0.01,
             iterations: 60,
             seed,
-            sampler: SamplerKind::Sparse,
         }
     }
 }
@@ -129,7 +124,6 @@ impl Ensemble {
                         .seed
                         .wrapping_add((k as u64) << 16)
                         .wrapping_add(r as u64),
-                    sampler: config.sampler,
                 });
             }
         }

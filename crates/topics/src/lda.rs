@@ -4,32 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::TopicsError;
 
-/// Which Gibbs-sweep implementation [`Lda::fit`] runs.
-///
-/// Both samplers implement the same collapsed-Gibbs update through the same
-/// SparseLDA-style bucket decomposition (Yao, Mimno & McCallum 2009):
-///
-/// ```text
-/// p(z = t) ∝ [ n_dk·(n_kw+β) + α·n_kw + α·β ] / (n_k + β·V)
-///            └─ doc bucket ─┘ └ word bucket ┘ └ smoothing ┘
-/// ```
-///
-/// [`SamplerKind::Dense`] scans all `K` topics per token (the reference);
-/// [`SamplerKind::Sparse`] walks only the topics with nonzero doc mass
-/// (`n_dk > 0`) and nonzero word mass (`n_kw > 0`) plus a cached smoothing
-/// total, visiting them in the same ascending order with the same
-/// arithmetic — so the two samplers produce **bit-identical** chains per
-/// seed. On the sparse per-session corpora of the paper (each session
-/// touches a handful of topics) the sparse walk is far shorter than `K`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SamplerKind {
-    /// Full `O(K)`-per-token scan — the retained reference implementation.
-    #[default]
-    Dense,
-    /// Doc-sparse walk over nonzero buckets — same chain, less work.
-    Sparse,
-}
-
 /// Configuration for one LDA run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LdaConfig {
@@ -45,8 +19,6 @@ pub struct LdaConfig {
     pub iterations: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Sweep implementation (dense reference or sparse; identical chains).
-    pub sampler: SamplerKind,
 }
 
 impl Default for LdaConfig {
@@ -58,18 +30,18 @@ impl Default for LdaConfig {
             beta: 0.01,
             iterations: 100,
             seed: 0,
-            sampler: SamplerKind::default(),
         }
     }
 }
 
 /// Cached per-topic `1/(n_k + β·V)` factors and the smoothing-bucket total
-/// `Σ_t α·β·inv[t]`, shared by both sweep implementations.
+/// `Σ_t α·β·inv[t]`.
 ///
 /// The total is maintained incrementally as topics gain/lose tokens and
-/// rebuilt from scratch at the start of every sweep; because dense and
-/// sparse sweeps run the exact same update sequence, their cached values
-/// (including any accumulated rounding) are bit-identical.
+/// rebuilt from scratch at the start of every sweep; because the sparse
+/// sweep and its dense test oracle run the exact same update sequence,
+/// their cached values (including any accumulated rounding) are
+/// bit-identical.
 struct SmoothCache {
     inv: Vec<f64>,
     s_total: f64,
@@ -148,9 +120,9 @@ struct SweepTables<'a> {
 /// smoothing `0..k`) subtracting terms from `x` until it goes negative.
 /// Falls through to `k - 1` if floating-point dust leaves `x` non-negative.
 ///
-/// Both sweep implementations fill `q`/`r` with the same topics in the same
-/// order with identical arithmetic, which is what makes their chains
-/// bit-identical.
+/// The sparse sweep and its dense test oracle fill `q`/`r` with the same
+/// topics in the same order with identical arithmetic, which is what makes
+/// their chains bit-identical.
 fn pick_topic(mut x: f64, q: &[(usize, f64)], r: &[(usize, f64)], cache: &SmoothCache, k: usize) -> usize {
     for &(t, term) in q.iter().chain(r) {
         x -= term;
@@ -167,8 +139,23 @@ fn pick_topic(mut x: f64, q: &[(usize, f64)], r: &[(usize, f64)], cache: &Smooth
     k - 1
 }
 
-/// Reference Gibbs sweep: full `O(K)` scan per token, expressed through the
-/// same bucket decomposition as [`sweep_sparse`].
+/// The signature shared by [`sweep_sparse`] and its test oracle.
+type Sweep = fn(
+    &[Vec<usize>],
+    &mut SweepTables<'_>,
+    usize,
+    usize,
+    f64,
+    f64,
+    usize,
+    &mut SmoothCache,
+    &mut StdRng,
+);
+
+/// Reference Gibbs sweep, kept as the test oracle for [`sweep_sparse`]: a
+/// full `O(K)` scan per token, expressed through the same bucket
+/// decomposition.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn sweep_dense(
     docs: &[Vec<usize>],
@@ -236,10 +223,20 @@ fn sweep_dense(
     }
 }
 
-/// Doc-sparse Gibbs sweep (SparseLDA-style): walks only topics with nonzero
-/// `n_dk` and `n_kw` mass via maintained ascending topic lists, plus the
-/// cached smoothing bucket. Produces the same chain as [`sweep_dense`],
-/// bit for bit.
+/// Doc-sparse Gibbs sweep (SparseLDA-style, Yao, Mimno & McCallum 2009):
+/// the collapsed-Gibbs update decomposed into three buckets,
+///
+/// ```text
+/// p(z = t) ∝ [ n_dk·(n_kw+β) + α·n_kw + α·β ] / (n_k + β·V)
+///            └─ doc bucket ─┘ └ word bucket ┘ └ smoothing ┘
+/// ```
+///
+/// walking only topics with nonzero `n_dk` and `n_kw` mass via maintained
+/// ascending topic lists, plus the cached smoothing total. On the paper's
+/// per-session corpora (each session touches a handful of topics) that
+/// walk is far shorter than `K`. It produces the same chain, bit for bit,
+/// as a full `O(K)` scan (the `sweep_dense` oracle in this module's
+/// tests).
 #[allow(clippy::too_many_arguments)]
 fn sweep_sparse(
     docs: &[Vec<usize>],
@@ -365,6 +362,13 @@ impl Lda {
     /// Returns an error for an empty corpus, an invalid configuration, or a
     /// word index `>= vocab`.
     pub fn fit(&self, docs: &[Vec<usize>]) -> Result<TopicModel, TopicsError> {
+        self.fit_with(docs, sweep_sparse)
+    }
+
+    /// [`Lda::fit`] with the Gibbs sweep passed in, so the tests can run
+    /// the dense oracle through the same validation, initialization and
+    /// posterior code.
+    fn fit_with(&self, docs: &[Vec<usize>], sweep: Sweep) -> Result<TopicModel, TopicsError> {
         let _span = ibcm_obs::span!("lda_fit");
         let fit_start = ibcm_obs::Stopwatch::start();
         let LdaConfig {
@@ -374,7 +378,6 @@ impl Lda {
             beta,
             iterations,
             seed,
-            sampler,
         } = self.config;
         if k == 0 || d == 0 {
             return Err(TopicsError::InvalidConfig(
@@ -426,14 +429,9 @@ impl Lda {
             n_k: &mut n_k,
             n_dk: &mut n_dk,
         };
-        match sampler {
-            SamplerKind::Dense => {
-                sweep_dense(docs, tables, k, d, alpha, beta, iterations, &mut cache, &mut rng)
-            }
-            SamplerKind::Sparse => {
-                sweep_sparse(docs, tables, k, d, alpha, beta, iterations, &mut cache, &mut rng)
-            }
-        }
+        sweep(
+            docs, tables, k, d, alpha, beta, iterations, &mut cache, &mut rng,
+        );
 
         // Posterior means.
         let mut phi = vec![0.0f64; k * d];
@@ -718,29 +716,143 @@ mod tests {
     #[test]
     fn degenerate_priors_keep_assignments_instead_of_collapsing() {
         let docs: Vec<Vec<usize>> = (0..12).map(|w| vec![w]).collect();
-        for sampler in [SamplerKind::Dense, SamplerKind::Sparse] {
-            let m = Lda::new(LdaConfig {
-                n_topics: 4,
-                vocab: 12,
-                alpha: 1e-200,
-                beta: 1e-200,
-                iterations: 5,
-                seed: 11,
-                sampler,
-            })
-            .fit(&docs)
-            .unwrap();
+        let lda = Lda::new(LdaConfig {
+            n_topics: 4,
+            vocab: 12,
+            alpha: 1e-200,
+            beta: 1e-200,
+            iterations: 5,
+            seed: 11,
+        });
+        for (name, sweep) in [("dense", sweep_dense as Sweep), ("sparse", sweep_sparse)] {
+            let m = lda.fit_with(&docs, sweep).unwrap();
             let dominants: Vec<usize> = (0..m.n_docs()).map(|di| m.dominant_topic(di)).collect();
             assert!(
                 dominants.iter().any(|&t| t != 3),
-                "{sampler:?}: all documents collapsed onto topic k-1: {dominants:?}"
+                "{name}: all documents collapsed onto topic k-1: {dominants:?}"
             );
             let distinct: std::collections::BTreeSet<usize> = dominants.iter().copied().collect();
             assert!(
                 distinct.len() >= 2,
-                "{sampler:?}: degenerate corpus should keep its random spread, got {dominants:?}"
+                "{name}: degenerate corpus should keep its random spread, got {dominants:?}"
             );
             assert!(m.perplexity().is_finite());
+        }
+    }
+
+    // Sparse-vs-dense equivalence. Both sweeps implement the same bucket
+    // decomposition with identical walk order and arithmetic, so for a
+    // given seed they must produce the same chain — not just statistically
+    // similar models: exact phi/theta/perplexity agreement, identical
+    // shapes, and identical error behavior on bad input.
+
+    /// A mixed corpus: two planted word blocks, varied document lengths, a
+    /// shared crossover word (7), and a repeated-token document.
+    fn mixed_corpus() -> Vec<Vec<usize>> {
+        let mut docs = Vec::new();
+        for i in 0..20 {
+            match i % 4 {
+                0 => docs.push(vec![0, 1, 2, 0, 1, 2, 7]),
+                1 => docs.push(vec![3, 4, 5, 3, 4, 5, 5, 7]),
+                2 => docs.push(vec![0, 2, 1]),
+                _ => docs.push(vec![6, 6, 6, 6, 6]),
+            }
+        }
+        docs
+    }
+
+    fn fit_mixed(sweep: Sweep, seed: u64, k: usize) -> TopicModel {
+        Lda::new(LdaConfig {
+            n_topics: k,
+            vocab: 8,
+            iterations: 40,
+            seed,
+            ..LdaConfig::default()
+        })
+        .fit_with(&mixed_corpus(), sweep)
+        .unwrap()
+    }
+
+    #[test]
+    fn same_seed_same_chain_exactly() {
+        for seed in 0..6u64 {
+            for k in [2, 3, 5] {
+                let dense = fit_mixed(sweep_dense, seed, k);
+                let sparse = fit_mixed(sweep_sparse, seed, k);
+                assert_eq!(
+                    dense, sparse,
+                    "seed {seed}, k {k}: dense and sparse chains diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn perplexity_within_relative_tolerance() {
+        // Exact chain equality makes the gap zero; the explicit tolerance
+        // keeps a quantitative gate should the bit-equality contract ever
+        // be relaxed.
+        for seed in 0..4u64 {
+            let dense = fit_mixed(sweep_dense, seed, 3);
+            let sparse = fit_mixed(sweep_sparse, seed, 3);
+            let rel = (dense.perplexity() - sparse.perplexity()).abs() / dense.perplexity();
+            assert!(rel <= 1e-6, "seed {seed}: relative perplexity gap {rel}");
+        }
+    }
+
+    #[test]
+    fn shapes_agree() {
+        let dense = fit_mixed(sweep_dense, 3, 4);
+        let sparse = fit_mixed(sweep_sparse, 3, 4);
+        assert_eq!(dense.n_topics(), sparse.n_topics());
+        assert_eq!(dense.vocab(), sparse.vocab());
+        assert_eq!(dense.n_docs(), sparse.n_docs());
+        for t in 0..dense.n_topics() {
+            assert_eq!(dense.phi(t).len(), sparse.phi(t).len());
+        }
+        for di in 0..dense.n_docs() {
+            assert_eq!(dense.theta(di).len(), sparse.theta(di).len());
+        }
+    }
+
+    #[test]
+    fn sparse_is_deterministic_per_seed() {
+        let a = fit_mixed(sweep_sparse, 9, 4);
+        let b = fit_mixed(sweep_sparse, 9, 4);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn error_behavior_matches() {
+        let cfg = LdaConfig {
+            n_topics: 2,
+            vocab: 3,
+            iterations: 5,
+            ..LdaConfig::default()
+        };
+        for (name, sweep) in [("dense", sweep_dense as Sweep), ("sparse", sweep_sparse)] {
+            assert_eq!(
+                Lda::new(cfg).fit_with(&[], sweep).unwrap_err(),
+                TopicsError::EmptyCorpus,
+                "{name}"
+            );
+            assert!(
+                matches!(
+                    Lda::new(cfg).fit_with(&[vec![0, 5]], sweep),
+                    Err(TopicsError::WordOutOfVocab { doc: 0, word: 5, vocab: 3 })
+                ),
+                "{name}"
+            );
+            let bad_k = LdaConfig { n_topics: 0, ..cfg };
+            assert!(matches!(
+                Lda::new(bad_k).fit_with(&[vec![0]], sweep),
+                Err(TopicsError::InvalidConfig(_))
+            ));
+            let bad_prior = LdaConfig { alpha: 0.0, ..cfg };
+            assert!(matches!(
+                Lda::new(bad_prior).fit_with(&[vec![0]], sweep),
+                Err(TopicsError::InvalidConfig(_))
+            ));
         }
     }
 }

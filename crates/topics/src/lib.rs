@@ -40,7 +40,7 @@ mod similarity;
 
 pub use ensemble::{Ensemble, EnsembleConfig, Topic, TopicId};
 pub use error::TopicsError;
-pub use lda::{Lda, LdaConfig, SamplerKind, TopicModel};
+pub use lda::{Lda, LdaConfig, TopicModel};
 pub use similarity::{js_divergence, kl_divergence, topic_distance_matrix};
 
 /// Converts sessions to LDA documents (sequences of action indices).
