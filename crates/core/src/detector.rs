@@ -1,3 +1,5 @@
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use ibcm_lm::{LstmLm, SessionScore};
 use ibcm_logsim::{ActionId, ClusterId};
 use ibcm_ocsvm::{ClusterRouter, RouteDecision};
@@ -130,8 +132,8 @@ impl MisuseDetector {
     /// # Panics
     ///
     /// Panics if the cluster is out of range.
+    #[expect(clippy::indexing_slicing, reason = "documented panicking accessor; an out-of-range cluster is a caller bug")]
     pub fn model(&self, cluster: ClusterId) -> &LstmLm {
-        // ibcm-lint: allow(panic-index, reason = "documented panicking accessor; an out-of-range cluster is a caller bug")
         &self.models[cluster.index()]
     }
 
@@ -169,8 +171,8 @@ impl MisuseDetector {
 
     /// Scores a session under a specific cluster's model (used when the true
     /// cluster is known, as in the paper's offline experiments).
+    #[expect(clippy::indexing_slicing, reason = "ClusterId values come from this detector's router, and new() asserts one model per routed cluster")]
     pub fn score_in_cluster(&self, actions: &[ActionId], cluster: ClusterId) -> SessionScore {
-        // ibcm-lint: allow(panic-index, reason = "ClusterId values come from this detector's router, and new() asserts one model per routed cluster")
         self.models[cluster.index()].score_session(&self.encode(actions))
     }
 
@@ -248,6 +250,7 @@ impl MisuseDetector {
     /// assert_eq!(verdicts.len(), sessions.len());
     /// # Ok::<(), ibcm_core::CoreError>(())
     /// ```
+    #[expect(clippy::expect_used, reason = "every input index lands in exactly one bucket, so every slot is filled")]
     pub fn score_sessions<S>(&self, sessions: &[S], threads: usize) -> Vec<SessionVerdict>
     where
         S: AsRef<[ActionId]> + Sync,
@@ -263,7 +266,7 @@ impl MisuseDetector {
         // deterministic.
         let mut by_cluster: Vec<Vec<usize>> = vec![Vec::new(); self.models.len()];
         for (i, (cluster, _)) in routed.iter().enumerate() {
-            // ibcm-lint: allow(panic-index, reason = "route() returns a cluster of this router, and new() asserts one model per routed cluster")
+            #[expect(clippy::indexing_slicing, reason = "route() returns a cluster of this router, and new() asserts one model per routed cluster")]
             by_cluster[cluster.index()].push(i);
         }
         // One job per bucket: a dominant cluster still spreads across the
@@ -276,23 +279,22 @@ impl MisuseDetector {
                 jobs.push((cluster, bucket));
             }
         }
+        #[expect(clippy::indexing_slicing, reason = "bucket indices are enumerate() positions of `routed`; cluster comes from enumerating self.models")]
         let scored: Vec<Vec<SessionScore>> = ibcm_par::par_map(threads, &jobs, |_, job| {
             let (cluster, indices) = *job;
             let tokens: Vec<&[usize]> = indices
                 .iter()
-                // ibcm-lint: allow(panic-index, reason = "bucket indices are enumerate() positions of `routed`")
                 .map(|&i| routed[i].1.as_slice())
                 .collect();
-            // ibcm-lint: allow(panic-index, reason = "cluster comes from enumerating self.models")
             self.models[cluster].score_sessions_batched(&tokens, MAX_BATCH)
         });
         let metrics = scoring_metrics();
         let mut verdicts: Vec<Option<SessionVerdict>> = (0..sessions.len()).map(|_| None).collect();
         for (job, scores) in jobs.iter().zip(scored) {
             let (cluster, indices) = *job;
+            #[expect(clippy::indexing_slicing, reason = "bucket indices are enumerate() positions of `verdicts`")]
             for (&i, score) in indices.iter().zip(scores) {
                 metrics.sessions.inc();
-                // ibcm-lint: allow(panic-index, reason = "bucket indices are enumerate() positions of `verdicts`")
                 verdicts[i] = Some(SessionVerdict {
                     cluster: ClusterId(cluster),
                     score,
@@ -301,7 +303,6 @@ impl MisuseDetector {
         }
         verdicts
             .into_iter()
-            // ibcm-lint: allow(panic-expect, reason = "every input index lands in exactly one bucket, so every slot is filled")
             .map(|v| v.expect("every session is bucketed exactly once"))
             .collect()
     }

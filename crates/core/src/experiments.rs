@@ -572,7 +572,7 @@ pub fn cluster_data_purity(clusters: &[ClusterData]) -> f64 {
             .chain(&c.validation)
             .chain(&c.test)
             .collect();
-        // ibcm-lint: allow(det-default-hasher, reason = "only values().max() over integer counts is taken; iteration order cannot affect the result")
+        #[expect(clippy::disallowed_types, reason = "only values().max() over integer counts is taken; iteration order cannot affect the result")]
         let mut counts = std::collections::HashMap::new();
         let mut labeled = 0usize;
         for s in &sessions {

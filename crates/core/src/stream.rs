@@ -24,7 +24,9 @@
 //! [`StreamMonitor::checkpoint`] in `persist.rs` and DESIGN.md, "Failure
 //! model & recovery".
 
-// ibcm-lint: allow(det-default-hasher, reason = "the active-session map is iterated only in shed_oldest, which takes a (last_minute, user index) minimum with a total-order tie-break; checkpoints sort by user index before serializing")
+#![expect(clippy::disallowed_types, reason = "the active-session map is iterated only in shed_oldest, which takes a (last_minute, user index) minimum with a total-order tie-break; checkpoints sort by user index before serializing")]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use std::collections::HashMap;
 
 use ibcm_logsim::{ActionId, ClusterId, UserId};

@@ -13,6 +13,8 @@
 //! discipline as the panic-free lint paths: no slice indexing, no
 //! `unwrap`, and an explicit nesting-depth cap.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 /// Maximum nesting depth the parser accepts. Deeper input is rejected
 /// rather than recursed into (stack safety on untrusted bodies).
 pub const MAX_DEPTH: usize = 32;

@@ -9,6 +9,8 @@
 //! path: malformed bodies are typed errors, and the service lock is
 //! recovered (not unwrapped) on poisoning.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 

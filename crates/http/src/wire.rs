@@ -9,6 +9,8 @@
 //! reads untrusted network bytes and sits on the workspace's panic-free
 //! lint path: every malformed input is a typed error, never a panic.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use std::io::{Read, Write};
 
 /// Parser limits, from [`HttpConfig`](crate::HttpConfig). Together with

@@ -1,9 +1,10 @@
 //! Concurrency hygiene (C rules): blocking calls in lock-free data-path
-//! functions, and per-field Release/Acquire protocol pairing.
+//! functions, per-field Release/Acquire protocol pairing, and a
+//! justification for every `Relaxed` access.
 //!
-//! PR 8's `unsafe-ordering-undocumented` rule checks each `Relaxed` *site*
-//! for a justification comment. These rules check the *protocol*: across
-//! the files of [`crate::policy::ATOMIC_PROTOCOL_PATHS`], every named
+//! Across the files of [`crate::policy::ATOMIC_PROTOCOL_PATHS`], every
+//! `Relaxed` *site* must carry an `// ordering:` comment saying why no
+//! synchronization is needed, and the *protocol* must close: every named
 //! atomic field published with a `Release`-class store must be observed by
 //! an `Acquire`-class load somewhere in the set, and vice versa — an
 //! unpaired half means the synchronization argument written in the ordering
@@ -12,7 +13,7 @@
 //! that only ever use `Relaxed` (monitoring mirrors, parked flags under a
 //! fence protocol) impose no pairing requirement. `SeqCst` fences are
 //! inventoried for the report rather than checked — their correctness
-//! argument is the Dekker-style comment protocol the U rules enforce.
+//! argument is the Dekker-style protocol written in the ordering comments.
 
 use std::collections::BTreeMap;
 
@@ -50,7 +51,8 @@ fn acquire_class(ords: &[String]) -> bool {
     ords.iter().any(|o| matches!(o.as_str(), "Acquire" | "AcqRel" | "SeqCst"))
 }
 
-/// Checks blocking calls and atomic pairing across the scanned files.
+/// Checks blocking calls, atomic pairing and Relaxed justifications across
+/// the scanned files.
 /// Returns raw findings plus the protocol table and fence inventory.
 pub fn check(
     files: &[(FileCtx, FileItems)],
@@ -123,6 +125,19 @@ pub fn check(
                     .or_insert_with(|| (ctx.rel_path.clone(), op.line));
             }
             if op.orderings.iter().any(|o| o == "Relaxed") {
+                if !op.ordering_comment {
+                    findings.push(Finding {
+                        rule: RuleId::ConcRelaxedUndocumented,
+                        file: ctx.rel_path.clone(),
+                        line: op.line,
+                        message: "`Ordering::Relaxed` in an atomic protocol file without an \
+                                  `// ordering:` comment — Relaxed provides no \
+                                  synchronization, so each use must say why that is \
+                                  sufficient"
+                            .to_string(),
+                        snippet: String::new(),
+                    });
+                }
                 entry.relaxed.push(site);
             }
         }
@@ -203,7 +218,7 @@ mod tests {
         let files = vec![scan(
             "crates/served/src/queue.rs",
             "impl Q {\n fn a(&self) { self.tail.0.store(1, Ordering::Release); }\n \
-             fn b(&self) -> usize { self.tail.0.load(Ordering::Relaxed) }\n}",
+             fn b(&self) -> usize { self.tail.0.load(Ordering::Relaxed) } // ordering: gauge\n}",
         )];
         let (findings, table, _) = check(&files);
         assert_eq!(findings.len(), 1, "{findings:?}");
@@ -238,11 +253,43 @@ mod tests {
     fn relaxed_only_fields_impose_no_requirement() {
         let files = vec![scan(
             "crates/served/src/queue.rs",
-            "impl Q {\n fn a(&self) { self.depth.store(1, Ordering::Relaxed); }\n \
-             fn b(&self) -> usize { self.depth.load(Ordering::Relaxed) }\n}",
+            "impl Q {\n // ordering: monitoring mirror.\n \
+             fn a(&self) { self.depth.store(1, Ordering::Relaxed); }\n \
+             fn b(&self) -> usize { self.depth.load(Ordering::Relaxed) } // ordering: gauge\n}",
         )];
         let (findings, _, _) = check(&files);
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    // Lines of the conc-relaxed-undocumented findings.
+    fn relaxed_fired(path: &str, src: &str) -> Vec<u32> {
+        let (findings, _, _) = check(&[scan(path, src)]);
+        findings
+            .iter()
+            .filter(|f| f.rule == RuleId::ConcRelaxedUndocumented)
+            .map(|f| f.line)
+            .collect()
+    }
+
+    #[test]
+    fn relaxed_ordering_requires_comment_in_lockfree_modules() {
+        let bad = "fn f(a: &AtomicUsize) -> usize { a.depth.load(Ordering::Relaxed) }";
+        assert_eq!(relaxed_fired("crates/served/src/queue.rs", bad), vec![1]);
+        // A same-line or immediately preceding `// ordering:` comment
+        // satisfies the rule.
+        let inline = "fn f(a: &AtomicUsize) -> usize { a.depth.load(Ordering::Relaxed) // ordering: gauge\n}";
+        assert!(relaxed_fired("crates/served/src/queue.rs", inline).is_empty());
+        let above = "fn f(a: &AtomicUsize) -> usize {\n    // ordering: Relaxed — monitoring only.\n    a.depth.load(Ordering::Relaxed)\n}";
+        assert!(relaxed_fired("crates/served/src/queue.rs", above).is_empty());
+        // A comment separated by code does not count.
+        let stale = "// ordering: about something else\nlet x = 1;\nfn f(a: &AtomicUsize) -> usize { a.depth.load(Ordering::Relaxed) }";
+        assert_eq!(relaxed_fired("crates/served/src/queue.rs", stale), vec![3]);
+        // Stronger orderings need no comment; every protocol file is
+        // covered, other files are exempt.
+        let acq = "fn f(a: &AtomicUsize) -> usize { a.depth.load(Ordering::Acquire) }";
+        assert!(relaxed_fired("crates/served/src/queue.rs", acq).is_empty());
+        assert_eq!(relaxed_fired("crates/http/src/server.rs", bad), vec![1]);
+        assert!(relaxed_fired("crates/served/src/metrics.rs", bad).is_empty());
     }
 
     #[test]

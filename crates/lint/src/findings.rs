@@ -1,79 +1,26 @@
 //! Finding and rule metadata: every rule the linter can fire, with its
-//! identity, severity, and one-line rationale.
+//! identity and one-line rationale. Every finding is an error: any
+//! unsuppressed finding fails the run.
 
 use std::fmt;
-
-/// How serious a finding is. `Error` findings fail the run (nonzero exit);
-/// `Warn` findings are reported but do not block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Reported, does not fail the run.
-    Warn,
-    /// Fails the run unless suppressed with a pragma.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Warn => "warn",
-            Severity::Error => "error",
-        })
-    }
-}
 
 /// Every rule the linter enforces. The kebab-case id (used in output and in
 /// `ibcm-lint: allow(...)` pragmas) is [`RuleId::id`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleId {
-    /// (D) An FMA intrinsic anywhere in the workspace. Fused multiply-add
-    /// rounds once where mul+add round twice, so one FMA breaks the
-    /// bit-identity contract between the AVX2 and scalar kernels.
-    DetFmaIntrinsic,
     /// (D) A SIMD intrinsic outside `ibcm-nn`, or one in `ibcm-nn` that is
     /// not on the reviewed whitelist (separate-rounding mul/add/load/store
-    /// family only).
+    /// family only). Every FMA intrinsic is off the list: fused
+    /// multiply-add rounds once where mul+add round twice, so one FMA
+    /// breaks the bit-identity contract between the SIMD and scalar kernels.
     DetIntrinsicWhitelist,
-    /// (D) A wall-clock read (`Instant::now`, `SystemTime`) outside the
-    /// observability and bench crates. Model crates must take time through
-    /// `ibcm_obs::Stopwatch` so the clock can never leak into model bytes.
-    DetWallClock,
-    /// (D) Ambient randomness (`thread_rng`, `rand::random`, `from_entropy`)
-    /// anywhere: every random draw must come from an explicitly seeded
-    /// generator.
-    DetAmbientRng,
-    /// (D) `std::collections::HashMap`/`HashSet` brought into a
-    /// model-affecting crate. The default hasher is randomly seeded per
-    /// process, so iteration order is nondeterministic; each import must be
-    /// justified (iteration-order-free use) or replaced with `BTreeMap`.
-    DetDefaultHasher,
-    /// (P) `.unwrap()` on a designated panic-free hot path.
-    PanicUnwrap,
-    /// (P) `.expect(...)` on a designated panic-free hot path.
-    PanicExpect,
-    /// (P) `panic!`/`unreachable!`/`todo!`/`unimplemented!` on a designated
-    /// panic-free hot path.
-    PanicMacro,
-    /// (P) Slice/array indexing (`x[i]`, `x[a..b]`) on a designated
-    /// panic-free hot path — panics when out of bounds.
-    PanicIndex,
-    /// (U) An `unsafe` block without a `// SAFETY:` comment on the same or
-    /// an immediately preceding line.
-    UnsafeMissingSafety,
-    /// (U) An `unsafe fn` without a `# Safety` section in its doc comment.
-    UnsafeUndocumentedFn,
-    /// (U) An `Ordering::Relaxed` atomic access in a designated lock-free
-    /// module without an `// ordering:` comment on the same or an
-    /// immediately preceding line. Relaxed is the one ordering that
-    /// provides no synchronization at all, so every use must say why that
-    /// is sufficient (monitoring mirror, single-writer cursor, ...).
-    UnsafeOrderingUndocumented,
     /// (T) A panicking construct in a workspace function reachable from a
-    /// public entry point of a designated panic-free file. The P rules
-    /// check the listed files themselves; this rule follows the call graph
-    /// out of them, so a hot path cannot launder a panic through a helper
-    /// one crate over. The finding anchors at the offending fn's
-    /// declaration, and `--graph-report` prints the entry→…→sink chain.
+    /// public entry point of a designated panic-free file. Clippy's panic
+    /// lints (the `#![deny(..)]` in each listed file) check the listed
+    /// files themselves; this rule follows the call graph out of them, so
+    /// a hot path cannot launder a panic through a helper one crate over.
+    /// The finding anchors at the offending fn's declaration, and
+    /// `--graph-report` prints the entry→…→sink chain.
     TransitivePanic,
     /// (C) A direct blocking call (`lock`, `park`, `sleep`, condvar waits,
     /// blocking channel ops) inside a designated lock-free data-path
@@ -86,6 +33,12 @@ pub enum RuleId {
     /// (C) An atomic field loaded with `Acquire` that no `Release`-class
     /// store ever publishes: the load synchronizes with nothing.
     ConcUnpairedAcquire,
+    /// (C) An `Ordering::Relaxed` atomic access in a protocol file without
+    /// an `// ordering:` comment on the same or an immediately preceding
+    /// line. Relaxed is the one ordering that provides no synchronization
+    /// at all, so every use must say why that is sufficient (monitoring
+    /// mirror, single-writer cursor, ...).
+    ConcRelaxedUndocumented,
     /// (W) A literal HTTP status code the front end emits that `API.md`
     /// does not mention.
     WireStatusUndocumented,
@@ -109,6 +62,7 @@ pub enum RuleId {
     /// A suppression pragma naming a rule id the linter does not know.
     PragmaUnknownRule,
     /// A suppression pragma that suppressed nothing (stale escape hatch).
+    /// An error like every other finding, so a stale pragma fails the run.
     PragmaUnused,
     /// A source file the linter could not read. The linter fails closed:
     /// unreadable code is unverified code.
@@ -117,25 +71,15 @@ pub enum RuleId {
 
 /// All rules, for iteration and id lookup.
 pub const ALL_RULES: &[RuleId] = &[
-    RuleId::DetFmaIntrinsic,
     RuleId::DetIntrinsicWhitelist,
-    RuleId::DetWallClock,
-    RuleId::DetAmbientRng,
-    RuleId::DetDefaultHasher,
-    RuleId::PanicUnwrap,
-    RuleId::PanicExpect,
-    RuleId::PanicMacro,
-    RuleId::PanicIndex,
     RuleId::TransitivePanic,
     RuleId::ConcBlockingCall,
     RuleId::ConcUnpairedRelease,
     RuleId::ConcUnpairedAcquire,
+    RuleId::ConcRelaxedUndocumented,
     RuleId::WireStatusUndocumented,
     RuleId::WireRouteUndocumented,
     RuleId::WireFieldUndocumented,
-    RuleId::UnsafeMissingSafety,
-    RuleId::UnsafeUndocumentedFn,
-    RuleId::UnsafeOrderingUndocumented,
     RuleId::MetricLiteralEscape,
     RuleId::MetricUnemitted,
     RuleId::MetricUndocumented,
@@ -149,25 +93,15 @@ impl RuleId {
     /// The stable kebab-case id used in output and pragmas.
     pub fn id(self) -> &'static str {
         match self {
-            RuleId::DetFmaIntrinsic => "det-fma-intrinsic",
             RuleId::DetIntrinsicWhitelist => "det-intrinsic-whitelist",
-            RuleId::DetWallClock => "det-wall-clock",
-            RuleId::DetAmbientRng => "det-ambient-rng",
-            RuleId::DetDefaultHasher => "det-default-hasher",
-            RuleId::PanicUnwrap => "panic-unwrap",
-            RuleId::PanicExpect => "panic-expect",
-            RuleId::PanicMacro => "panic-macro",
-            RuleId::PanicIndex => "panic-index",
             RuleId::TransitivePanic => "transitive-panic",
             RuleId::ConcBlockingCall => "conc-blocking-call",
             RuleId::ConcUnpairedRelease => "conc-unpaired-release",
             RuleId::ConcUnpairedAcquire => "conc-unpaired-acquire",
+            RuleId::ConcRelaxedUndocumented => "conc-relaxed-undocumented",
             RuleId::WireStatusUndocumented => "wire-status-undocumented",
             RuleId::WireRouteUndocumented => "wire-route-undocumented",
             RuleId::WireFieldUndocumented => "wire-field-undocumented",
-            RuleId::UnsafeMissingSafety => "unsafe-missing-safety",
-            RuleId::UnsafeUndocumentedFn => "unsafe-undocumented-fn",
-            RuleId::UnsafeOrderingUndocumented => "unsafe-ordering-undocumented",
             RuleId::MetricLiteralEscape => "metric-literal-escape",
             RuleId::MetricUnemitted => "metric-unemitted",
             RuleId::MetricUndocumented => "metric-undocumented",
@@ -181,14 +115,6 @@ impl RuleId {
     /// Resolves a kebab-case id back to a rule.
     pub fn from_id(s: &str) -> Option<RuleId> {
         ALL_RULES.iter().copied().find(|r| r.id() == s)
-    }
-
-    /// The rule's severity.
-    pub fn severity(self) -> Severity {
-        match self {
-            RuleId::PragmaUnused => Severity::Warn,
-            _ => Severity::Error,
-        }
     }
 
     /// Whether `ibcm-lint: allow(...)` pragmas may suppress this rule.
@@ -226,11 +152,4 @@ pub struct Finding {
     pub message: String,
     /// The offending source line, trimmed, for rendering.
     pub snippet: String,
-}
-
-impl Finding {
-    /// The finding's severity (delegates to the rule).
-    pub fn severity(&self) -> Severity {
-        self.rule.severity()
-    }
 }

@@ -13,8 +13,9 @@
 //!   only for *distinctive* names: methods shadowing ubiquitous std names
 //!   (`len`, `get`, `push`, ...) are skipped, because `v.len()` edges to
 //!   every workspace `len` would drown the graph in false paths. The
-//!   designated files' own bodies are still covered directly by the P
-//!   rules, so this trades recall one hop out for precision everywhere.
+//!   designated files' own bodies are still covered directly by clippy's
+//!   panic lints (each file's `#![deny(..)]`), so this trades recall one
+//!   hop out for precision everywhere.
 //!
 //! Seeds are the public functions of every [`crate::policy::PANIC_FREE_PATHS`]
 //! file. Any reachable function *outside* those files that contains a

@@ -16,7 +16,7 @@
 
 use crate::lexer::{Tok, TokKind};
 use crate::policy::FileCtx;
-use crate::rules::{is_index_bracket, test_region_mask, PANIC_MACROS};
+use crate::rules::{is_index_bracket, test_region_mask};
 
 /// How a call site names its callee.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,6 +98,9 @@ pub struct AtomicOp {
     pub orderings: Vec<String>,
     /// 1-indexed line.
     pub line: u32,
+    /// Whether an `// ordering:` comment sits on this line or on the
+    /// comment-only lines directly above it.
+    pub ordering_comment: bool,
 }
 
 /// One `fence(Ordering::X)` site, for the report's fence inventory.
@@ -161,8 +164,12 @@ const CALL_SKIP_KEYWORDS: &[&str] = &[
     "where", "true", "false",
 ];
 
-/// Assertion macros: they panic by design and are allowed everywhere the
-/// P rules allow them, so the transitive pass does not count them.
+/// Panic macros the transitive pass counts as panicking constructs.
+const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+
+/// Assertion macros: they panic by design and clippy's panic lints allow
+/// them on the panic-free files too, so the transitive pass does not count
+/// them.
 const ASSERT_MACROS: &[&str] = &[
     "assert",
     "assert_eq",
@@ -300,6 +307,7 @@ pub fn extract(ctx: &FileCtx, tokens: &[Tok]) -> FileItems {
                                     kind,
                                     orderings: orderings_in_args(tokens, &sig, si + 1),
                                     line: tok.line,
+                                    ordering_comment: has_ordering_comment(tokens, tok.line),
                                 });
                             }
                         }
@@ -582,6 +590,31 @@ fn orderings_in_args(tokens: &[Tok], sig: &[usize], open_si: usize) -> Vec<Strin
     out
 }
 
+/// `// ordering:` in a comment on `line`, or on the comment-only lines
+/// immediately above it.
+fn has_ordering_comment(tokens: &[Tok], line: u32) -> bool {
+    let marked = |l: u32| {
+        tokens
+            .iter()
+            .any(|t| t.line == l && t.is_comment() && t.text.contains("ordering:"))
+    };
+    let comment_only = |l: u32| {
+        let mut on_line = tokens.iter().filter(|t| t.line == l).peekable();
+        on_line.peek().is_some() && on_line.all(Tok::is_comment)
+    };
+    if marked(line) {
+        return true;
+    }
+    let mut l = line.saturating_sub(1);
+    while l > 0 && comment_only(l) {
+        if marked(l) {
+            return true;
+        }
+        l -= 1;
+    }
+    false
+}
+
 /// JSON field names inside a string literal: every `"name":` (raw strings)
 /// or `\"name\":` (escaped, as format strings hold them) pattern.
 fn json_field_names(s: &str) -> Vec<String> {
@@ -705,6 +738,7 @@ mod tests {
         assert_eq!(it.atomics[0].orderings, vec!["Release"]);
         assert_eq!(it.atomics[1].field, "head");
         assert_eq!(it.atomics[2].kind, AtomicKind::Rmw);
+        assert!(it.atomics.iter().all(|op| !op.ordering_comment));
         assert_eq!(it.fences.len(), 1);
         assert_eq!(it.fences[0].ordering, "SeqCst");
     }

@@ -7,14 +7,16 @@
 //! machine-checkable rule with a `file:line` finding, so CI fails the
 //! moment a patch would erode them.
 //!
-//! Seven rule families (see [`findings::RuleId`] for the full list):
+//! Per-file determinism, panic-freedom and unsafe hygiene are clippy's:
+//! the root `clippy.toml` disallows wall-clock reads, scalar FMA and the
+//! std hash maps, `[workspace.lints.clippy]` denies undocumented `unsafe`,
+//! and each designated hot-path file denies clippy's seven panic lints
+//! (DESIGN.md, "Static invariants"). This crate keeps what clippy cannot
+//! express, in five rule families (see [`findings::RuleId`] for the full
+//! list):
 //!
-//! - **(D) determinism** — no FMA or non-whitelisted SIMD intrinsics, no
-//!   wall-clock reads outside `ibcm-obs`/`ibcm-bench`, no ambient
-//!   randomness, no default-hasher `HashMap`/`HashSet` entering a
-//!   model-affecting crate unjustified.
-//! - **(P) panic-freedom** — no `unwrap`/`expect`/`panic!`/slice indexing
-//!   on the designated scoring and ingest hot paths.
+//! - **(D) determinism** — SIMD intrinsics only from ibcm-nn's reviewed
+//!   allow-list, which holds no FMA.
 //! - **(T) transitive panic-freedom** — the workspace call graph is seeded
 //!   from every public fn of the panic-free files; a panicking construct in
 //!   *any* reachable function is flagged, with the entry→…→sink chain as
@@ -22,11 +24,8 @@
 //! - **(C) concurrency hygiene** — no direct blocking calls in the
 //!   ingest queue's lock-free data-path functions; every atomic field published
 //!   with `Release` must be observed by an `Acquire`-class load (and vice
-//!   versa) across the protocol file set; `SeqCst` fences are inventoried.
-//! - **(U) unsafe hygiene** — every `unsafe` block carries `// SAFETY:`,
-//!   every `unsafe fn` a `# Safety` doc section, every `Relaxed` in the
-//!   ingest queue an `// ordering:` comment; the full inventory is
-//!   reported.
+//!   versa) across the protocol file set, and every `Relaxed` access there
+//!   carries an `// ordering:` comment; `SeqCst` fences are inventoried.
 //! - **(M) metric coverage** — every catalog `MetricDef` is emitted and
 //!   documented, and no metric-name literal escapes the catalog.
 //! - **(W) wire/doc conformance** — every status code, route, and JSON
@@ -36,7 +35,8 @@
 //! Suppression is per-site and must be justified:
 //!
 //! ```text
-//! self.models[cluster.index()] // ibcm-lint: allow(panic-index, reason = "router output < n_clusters by construction")
+//! // ibcm-lint: allow(transitive-panic, reason = "shapes are asserted on entry; every tile index is derived from them")
+//! pub fn matmul_acc_into(&self, other: &Matrix, out: &mut Matrix) {
 //! ```
 //!
 //! A pragma without a reason, naming an unknown rule, or suppressing
@@ -59,10 +59,10 @@
 //! ```
 //! use ibcm_lint::{policy::FileCtx, rules::scan_file};
 //!
-//! let ctx = FileCtx::classify("crates/lm/src/scorer.rs").unwrap();
-//! let scan = scan_file(&ctx, "fn f(x: Option<u8>) -> u8 { x.unwrap() }");
+//! let ctx = FileCtx::classify("crates/nn/src/matrix.rs").unwrap();
+//! let scan = scan_file(&ctx, "fn f() { let v = _mm256_fmadd_ps(a, b, c); }");
 //! assert_eq!(scan.findings.len(), 1);
-//! assert_eq!(scan.findings[0].rule.id(), "panic-unwrap");
+//! assert_eq!(scan.findings[0].rule.id(), "det-intrinsic-whitelist");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -85,7 +85,7 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-pub use findings::{Finding, RuleId, Severity};
+pub use findings::{Finding, RuleId};
 pub use report::{Report, SuppressionEntry};
 
 struct FileState {
@@ -96,7 +96,8 @@ struct FileState {
 }
 
 /// Lints the workspace rooted at `root` in two phases: a per-file token
-/// pass (D/P/U rules plus extraction), then the workspace phase — call
+/// pass (D and metric-literal rules plus extraction), then the workspace
+/// phase — call
 /// graph (T), concurrency protocol (C), wire conformance (W), and metric
 /// coverage (M) — with pragma suppression applied per file and pragma
 /// hygiene emitted last (a pragma may legitimately exist only to suppress a
@@ -110,7 +111,6 @@ struct FileState {
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let files = walk::rust_files(root)?;
     let mut findings: Vec<Finding> = Vec::new();
-    let mut unsafe_inventory = Vec::new();
     let mut emitting_idents: BTreeSet<String> = BTreeSet::new();
     let mut catalog_src: Option<String> = None;
     let mut files_scanned = 0usize;
@@ -142,7 +142,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
             emitting_idents.extend(scan.src_idents);
         }
         findings.extend(scan.findings);
-        unsafe_inventory.extend(scan.unsafe_sites);
         states.push(FileState {
             ctx: scan.ctx,
             src,
@@ -225,7 +224,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.id()).cmp(&(b.file.as_str(), b.line, b.rule.id()))
     });
-    unsafe_inventory.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     suppressions.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
     flagged.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
 
@@ -233,7 +231,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
         root: root.display().to_string(),
         files_scanned,
         findings,
-        unsafe_inventory,
         suppressions,
         graph: graph_summary,
         flagged_paths: flagged,

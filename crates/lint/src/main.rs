@@ -1,10 +1,9 @@
 //! The `ibcm-lint` binary: lints the workspace and exits nonzero on any
-//! unsuppressed error-severity finding.
+//! unsuppressed finding, a stale pragma included.
 //!
 //! ```text
 //! cargo run -p ibcm-lint --               # human-readable text
-//! cargo run -p ibcm-lint -- --json        # CI artifact (schema ibcm-lint/2)
-//! cargo run -p ibcm-lint -- --unsafe-report   # unsafe inventory table
+//! cargo run -p ibcm-lint -- --json        # CI artifact (schema ibcm-lint/3)
 //! cargo run -p ibcm-lint -- --graph-report    # T/C evidence: chains, protocol table
 //! cargo run -p ibcm-lint -- --suppressions    # every allow(..) pragma, used or stale
 //! cargo run -p ibcm-lint -- --root path/to/ws # lint another tree
@@ -15,7 +14,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut unsafe_report = false;
     let mut graph_report = false;
     let mut suppressions = false;
     let mut root: Option<PathBuf> = None;
@@ -24,7 +22,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--unsafe-report" => unsafe_report = true,
             "--graph-report" => graph_report = true,
             "--suppressions" => suppressions = true,
             "--root" => match args.next() {
@@ -38,11 +35,10 @@ fn main() -> ExitCode {
                 println!(
                     "ibcm-lint: invariant-enforcing static analyzer for the ibcm workspace\n\
                      \n\
-                     USAGE: ibcm-lint [--json] [--unsafe-report] [--graph-report]\n\
-                     \x20                [--suppressions] [--root <dir>]\n\
+                     USAGE: ibcm-lint [--json] [--graph-report] [--suppressions]\n\
+                     \x20                [--root <dir>]\n\
                      \n\
-                     --json           machine-readable report (schema ibcm-lint/2)\n\
-                     --unsafe-report  append the unsafe inventory table\n\
+                     --json           machine-readable report (schema ibcm-lint/3)\n\
                      --graph-report   append the call-graph evidence: each hot-path-\n\
                      \x20                reachable panicking fn as an entry->...->sink\n\
                      \x20                chain, the atomic Release/Acquire protocol\n\
@@ -50,8 +46,11 @@ fn main() -> ExitCode {
                      --suppressions   append the suppression inventory (every\n\
                      \x20                ibcm-lint: allow(..) pragma, used or stale)\n\
                      \n\
-                     Exits 0 when the workspace has no unsuppressed error-severity\n\
-                     findings; 1 otherwise; 2 on usage or I/O failure."
+                     Determinism, panic-freedom and unsafe hygiene of single\n\
+                     files are clippy's: cargo clippy --workspace --all-targets.\n\
+                     \n\
+                     Exits 0 when the workspace has no unsuppressed findings (a\n\
+                     stale pragma counts); 1 otherwise; 2 on usage or I/O failure."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -75,9 +74,6 @@ fn main() -> ExitCode {
         print!("{}", report.render_json());
     } else {
         print!("{}", report.render_text());
-        if unsafe_report {
-            print!("{}", report.render_unsafe_inventory());
-        }
         if graph_report {
             print!("{}", report.render_graph_report());
         }

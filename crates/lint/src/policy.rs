@@ -1,8 +1,10 @@
 //! The workspace policy: which rules apply where.
 //!
 //! This module is the one place that encodes repo-specific knowledge — the
-//! crate roles, the designated panic-free hot paths, the reviewed intrinsic
-//! whitelist. Everything else in the linter is generic machinery.
+//! designated panic-free hot paths, the atomic protocol files, the reviewed
+//! intrinsic whitelist. Everything else in the linter is generic machinery.
+//! The per-file determinism, panic and unsafe rules are clippy's (root
+//! `clippy.toml`, `[workspace.lints.clippy]`).
 
 /// Intrinsics `ibcm-nn`'s SIMD kernels (AVX2 and AVX-512F tiers) are allowed
 /// to use. The list is the separate-rounding mul/add/load/store/broadcast
@@ -25,7 +27,9 @@ pub const NN_INTRINSIC_WHITELIST: &[&str] = &[
 
 /// Files (workspace-relative, `/`-separated) designated panic-free: the
 /// scoring and ingest hot paths where a panic means a crashed detector in
-/// production. The P-family rules fire only here (outside `#[cfg(test)]`).
+/// production. Each file denies clippy's seven panic lints in a
+/// `#![deny(..)]` line (`tests/self_check.rs` holds the two in sync); the
+/// transitive-panic rule seeds its call graph from their public fns.
 pub const PANIC_FREE_PATHS: &[&str] = &[
     "crates/lm/src/scorer.rs",
     "crates/core/src/detector.rs",
@@ -42,13 +46,6 @@ pub const PANIC_FREE_PATHS: &[&str] = &[
     "crates/http/src/service.rs",
     "crates/http/src/server.rs",
 ];
-
-/// Files (workspace-relative, `/`-separated) where every
-/// `Ordering::Relaxed` atomic access must carry an `// ordering:` comment
-/// justifying why no synchronization is needed. The ingest queue's depth
-/// mirror is read outside its lock; an undocumented Relaxed there is an
-/// unreviewable one.
-pub const ORDERING_DOCUMENTED_PATHS: &[&str] = &["crates/served/src/queue.rs"];
 
 /// Lock-free data-path functions: `(file, fn names)` pairs naming the
 /// functions that must never make a *direct* blocking call (`lock`,
@@ -82,9 +79,11 @@ pub const BLOCKING_CALL_NAMES: &[&str] = &[
 /// Files whose named atomic fields form cross-thread publication protocols:
 /// every field stored with `Release` must have a matching `Acquire` load
 /// somewhere in this set, and vice versa (`SeqCst`/`AcqRel` satisfy either
-/// side; read-modify-write ops count as both a load and a store). The set
-/// spans the daemon because the protocols do: `state` is stored in
-/// `shard.rs` and loaded in `queue.rs`/`supervisor.rs`.
+/// side; read-modify-write ops count as both a load and a store), and every
+/// `Relaxed` access must carry an `// ordering:` comment saying why no
+/// synchronization is needed. The set spans the daemon because the
+/// protocols do: `state` is stored in `shard.rs` and loaded in
+/// `queue.rs`/`supervisor.rs`.
 pub const ATOMIC_PROTOCOL_PATHS: &[&str] = &[
     "crates/served/src/queue.rs",
     "crates/served/src/shard.rs",
@@ -176,29 +175,6 @@ pub const CRATE_DEPS: &[(&str, &[&str])] = &[
     ),
 ];
 
-/// Crates whose outputs feed model bytes or alarm decisions. The
-/// default-hasher rule applies here: `HashMap`/`HashSet` iteration order is
-/// seeded per process, so any order-dependent use breaks run-to-run
-/// determinism.
-pub const MODEL_AFFECTING_CRATES: &[&str] = &[
-    "ibcm-core",
-    "ibcm-lm",
-    "ibcm-nn",
-    "ibcm-topics",
-    "ibcm-ocsvm",
-    "ibcm-patterns",
-    "ibcm-logsim",
-    "ibcm-par",
-    "ibcm-served", // the daemon's merged alarm stream is an output surface
-    "ibcm-http",   // response bodies replay the merged stream byte-for-byte
-    "ibcm", // the facade re-exports pipeline entry points
-];
-
-/// Crates allowed to read the wall clock. `ibcm-obs` is the observe-only
-/// telemetry substrate (proven side-effect-free by the obs_identity suite);
-/// `ibcm-bench` measures wall time by definition.
-pub const WALL_CLOCK_CRATES: &[&str] = &["ibcm-obs", "ibcm-bench"];
-
 /// The metric catalog: the only file where `ibcm_*` metric-name string
 /// literals may appear.
 pub const METRIC_CATALOG_PATH: &str = "crates/obs/src/names.rs";
@@ -207,7 +183,7 @@ pub const METRIC_CATALOG_PATH: &str = "crates/obs/src/names.rs";
 pub const OPERATIONS_DOC: &str = "OPERATIONS.md";
 
 /// What kind of build target a source file belongs to. Test-only targets
-/// get relaxed rules (panics and ad-hoc clocks are fine in tests).
+/// are outside the call graph and may hold metric-name literals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetKind {
     /// A `src/` file of a library or binary target.
@@ -271,34 +247,13 @@ impl FileCtx {
         })
     }
 
-    /// True if the P-family (panic-freedom) rules apply to this file.
-    pub fn is_panic_free_path(&self) -> bool {
-        PANIC_FREE_PATHS.contains(&self.rel_path.as_str())
-    }
-
-    /// True if `Ordering::Relaxed` accesses in this file must carry an
-    /// `// ordering:` justification comment.
-    pub fn is_ordering_documented_path(&self) -> bool {
-        ORDERING_DOCUMENTED_PATHS.contains(&self.rel_path.as_str())
-    }
-
-    /// True if this crate may read the wall clock directly.
-    pub fn wall_clock_allowed(&self) -> bool {
-        WALL_CLOCK_CRATES.contains(&self.crate_name.as_str())
-    }
-
-    /// True if the default-hasher rule applies to this crate.
-    pub fn is_model_affecting(&self) -> bool {
-        MODEL_AFFECTING_CRATES.contains(&self.crate_name.as_str())
-    }
-
     /// True if this file is the metric catalog itself.
     pub fn is_metric_catalog(&self) -> bool {
         self.rel_path == METRIC_CATALOG_PATH
     }
 
     /// True if this file's named atomic fields participate in the
-    /// Release/Acquire pairing check.
+    /// Release/Acquire pairing and Relaxed-justification checks.
     pub fn is_atomic_protocol_path(&self) -> bool {
         ATOMIC_PROTOCOL_PATHS.contains(&self.rel_path.as_str())
     }
@@ -338,9 +293,6 @@ mod tests {
         let f = FileCtx::classify("crates/lm/src/scorer.rs").unwrap();
         assert_eq!(f.crate_name, "ibcm-lm");
         assert_eq!(f.target_kind, TargetKind::Src);
-        assert!(f.is_panic_free_path());
-        assert!(f.is_model_affecting());
-        assert!(!f.wall_clock_allowed());
 
         let t = FileCtx::classify("crates/core/tests/chaos_stream.rs").unwrap();
         assert_eq!(t.target_kind, TargetKind::TestLike);
@@ -353,24 +305,17 @@ mod tests {
 
         let shard = FileCtx::classify("crates/served/src/shard.rs").unwrap();
         assert_eq!(shard.crate_name, "ibcm-served");
-        assert!(shard.is_panic_free_path());
-        assert!(shard.is_model_affecting());
-        assert!(!shard.wall_clock_allowed());
-        let sup = FileCtx::classify("crates/served/src/supervisor.rs").unwrap();
-        assert!(sup.is_panic_free_path());
+        assert!(shard.is_atomic_protocol_path());
         let queue = FileCtx::classify("crates/served/src/queue.rs").unwrap();
-        assert!(queue.is_panic_free_path());
-        assert!(queue.is_ordering_documented_path());
-        assert!(!sup.is_ordering_documented_path());
+        assert!(queue.is_atomic_protocol_path());
+        let metrics = FileCtx::classify("crates/served/src/metrics.rs").unwrap();
+        assert!(!metrics.is_atomic_protocol_path());
 
         let wire = FileCtx::classify("crates/http/src/wire.rs").unwrap();
         assert_eq!(wire.crate_name, "ibcm-http");
-        assert!(wire.is_panic_free_path());
-        assert!(wire.is_model_affecting());
-        assert!(!wire.wall_clock_allowed());
-        let cfg = FileCtx::classify("crates/http/src/config.rs").unwrap();
-        assert!(!cfg.is_panic_free_path());
-        assert!(cfg.is_model_affecting());
+        assert!(!wire.is_wire_surface());
+        let service = FileCtx::classify("crates/http/src/service.rs").unwrap();
+        assert!(service.is_wire_surface());
 
         assert!(FileCtx::classify("vendor/rand/src/lib.rs").is_none());
         assert!(FileCtx::classify("benchmark/src/traffic.rs").is_none());

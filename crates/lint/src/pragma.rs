@@ -177,30 +177,6 @@ pub fn snippet_at(lines: &[&str], line: u32) -> String {
         .unwrap_or_default()
 }
 
-/// Comment tokens are also where `// SAFETY:` justifications live; expose a
-/// small helper the unsafe-hygiene rule shares.
-pub fn comment_on_line(tokens: &[Tok], line: u32, needle: &str) -> bool {
-    tokens.iter().any(|t| {
-        t.is_comment() && t.line == line && t.text.contains(needle)
-    })
-}
-
-/// True if `line` holds only comment tokens (used to walk upward through a
-/// multi-line comment block).
-pub fn line_is_comment_only(tokens: &[Tok], line: u32) -> bool {
-    let mut any = false;
-    for t in tokens {
-        if t.line == line {
-            if t.is_comment() {
-                any = true;
-            } else {
-                return false;
-            }
-        }
-    }
-    any
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,16 +184,16 @@ mod tests {
 
     #[test]
     fn parses_full_pragma() {
-        let toks = lex("x(); // ibcm-lint: allow(panic-unwrap, reason = \"bounded above\")");
+        let toks = lex("x(); // ibcm-lint: allow(transitive-panic, reason = \"bounded above\")");
         let ps = collect(&toks);
         assert_eq!(ps.len(), 1);
-        assert_eq!(ps[0].rule, Some(RuleId::PanicUnwrap));
+        assert_eq!(ps[0].rule, Some(RuleId::TransitivePanic));
         assert_eq!(ps[0].reason.as_deref(), Some("bounded above"));
     }
 
     #[test]
     fn missing_reason_is_detected() {
-        let toks = lex("// ibcm-lint: allow(det-wall-clock)");
+        let toks = lex("// ibcm-lint: allow(metric-literal-escape)");
         let ps = collect(&toks);
         assert_eq!(ps.len(), 1);
         assert!(ps[0].reason.is_none());
@@ -225,15 +201,15 @@ mod tests {
 
     #[test]
     fn empty_reason_counts_as_missing() {
-        let toks = lex("// ibcm-lint: allow(det-wall-clock, reason = \"  \")");
+        let toks = lex("// ibcm-lint: allow(metric-literal-escape, reason = \"  \")");
         assert!(collect(&toks)[0].reason.is_none());
     }
 
     #[test]
     fn doc_comments_and_mentions_are_not_pragmas() {
         let toks = lex(
-            "/// `ibcm-lint: allow(panic-unwrap, reason = \"x\")` is the syntax\n\
-             //! ibcm-lint: allow(panic-unwrap, reason = \"x\")\n\
+            "/// `ibcm-lint: allow(transitive-panic, reason = \"x\")` is the syntax\n\
+             //! ibcm-lint: allow(transitive-panic, reason = \"x\")\n\
              // see ibcm-lint: allow(...) in DESIGN.md\n\
              fn f() {}",
         );

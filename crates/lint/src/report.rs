@@ -1,13 +1,12 @@
 //! Rendering: human-readable text, machine-readable JSON (`--json`), the
-//! unsafe inventory, the call-graph report (`--graph-report`), and the
-//! suppression inventory (`--suppressions`).
+//! call-graph report (`--graph-report`), and the suppression inventory
+//! (`--suppressions`).
 
 use std::fmt::Write as _;
 
 use crate::conc::{AtomicFieldSummary, FenceEntry};
-use crate::findings::{Finding, Severity};
+use crate::findings::Finding;
 use crate::graph::{FlaggedPath, GraphSummary};
-use crate::rules::UnsafeSite;
 
 /// One `ibcm-lint: allow(..)` pragma, for the suppression inventory.
 #[derive(Debug, Clone)]
@@ -33,8 +32,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// All unsuppressed findings, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// Every `unsafe` occurrence in the workspace.
-    pub unsafe_inventory: Vec<UnsafeSite>,
     /// Every suppression pragma, used or not, sorted by (file, line).
     pub suppressions: Vec<SuppressionEntry>,
     /// Call-graph size/coverage counters for the T family.
@@ -49,25 +46,15 @@ pub struct Report {
 }
 
 impl Report {
-    /// Number of error-severity findings (these fail the run).
+    /// Number of findings. Every finding is an error.
     pub fn error_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity() == Severity::Error)
-            .count()
+        self.findings.len()
     }
 
-    /// Number of warn-severity findings.
-    pub fn warn_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity() == Severity::Warn)
-            .count()
-    }
-
-    /// Whether the run passes (no errors; warnings do not block).
+    /// Whether the run passes: no unsuppressed finding, stale pragmas
+    /// included.
     pub fn clean(&self) -> bool {
-        self.error_count() == 0
+        self.findings.is_empty()
     }
 
     /// Human-readable report.
@@ -76,8 +63,7 @@ impl Report {
         for f in &self.findings {
             let _ = writeln!(
                 out,
-                "{}: [{}] {}:{}: {}",
-                f.severity(),
+                "error: [{}] {}:{}: {}",
                 f.rule.id(),
                 f.file,
                 f.line,
@@ -87,21 +73,13 @@ impl Report {
                 let _ = writeln!(out, "    | {}", f.snippet);
             }
         }
-        let documented = self
-            .unsafe_inventory
-            .iter()
-            .filter(|s| s.documented)
-            .count();
         let used = self.suppressions.iter().filter(|s| s.used).count();
         let _ = writeln!(
             out,
-            "ibcm-lint: {} files, {} errors, {} warnings, {} unsafe sites ({} documented), \
-             {} suppressions ({} used), graph {} fns / {} edges / {} reachable from {} seeds",
+            "ibcm-lint: {} files, {} errors, {} suppressions ({} used), \
+             graph {} fns / {} edges / {} reachable from {} seeds",
             self.files_scanned,
             self.error_count(),
-            self.warn_count(),
-            self.unsafe_inventory.len(),
-            documented,
             self.suppressions.len(),
             used,
             self.graph.functions,
@@ -109,27 +87,6 @@ impl Report {
             self.graph.reachable,
             self.graph.seeds,
         );
-        out
-    }
-
-    /// The unsafe inventory as a standalone table (for `--unsafe-report`).
-    pub fn render_unsafe_inventory(&self) -> String {
-        let mut out = String::from("unsafe inventory (every `unsafe` in the workspace):\n");
-        if self.unsafe_inventory.is_empty() {
-            out.push_str("  (none)\n");
-            return out;
-        }
-        for s in &self.unsafe_inventory {
-            let _ = writeln!(
-                out,
-                "  {}:{} [{}] {} — {}",
-                s.file,
-                s.line,
-                s.kind.label(),
-                if s.documented { "documented" } else { "UNDOCUMENTED" },
-                s.snippet,
-            );
-        }
         out
     }
 
@@ -208,20 +165,19 @@ impl Report {
     }
 
     /// Machine-readable JSON for CI artifacts. Hand-rolled (the linter is
-    /// zero-dependency); the schema is `ibcm-lint/2`, which extends `/1`
-    /// with `suppressions`, `graph`, and `atomics` sections.
+    /// zero-dependency); the schema is `ibcm-lint/3`, which drops `/2`'s
+    /// unsafe inventory (clippy checks unsafe hygiene now), the warning
+    /// count and the per-finding severity (every finding is an error).
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"ibcm-lint/2\",");
+        let _ = writeln!(out, "  \"schema\": \"ibcm-lint/3\",");
         let _ = writeln!(out, "  \"root\": {},", json_str(&self.root));
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(
             out,
-            "  \"summary\": {{\"errors\": {}, \"warnings\": {}, \"unsafe_sites\": {}, \
-             \"suppressions\": {}, \"suppressions_used\": {}}},",
+            "  \"summary\": {{\"errors\": {}, \"suppressions\": {}, \
+             \"suppressions_used\": {}}},",
             self.error_count(),
-            self.warn_count(),
-            self.unsafe_inventory.len(),
             self.suppressions.len(),
             self.suppressions.iter().filter(|s| s.used).count(),
         );
@@ -297,38 +253,16 @@ impl Report {
             }
             let _ = write!(
                 out,
-                "\n    {{\"rule\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \
+                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \
                  \"message\": {}, \"snippet\": {}}}",
                 json_str(f.rule.id()),
-                json_str(&f.severity().to_string()),
                 json_str(&f.file),
                 f.line,
                 json_str(&f.message),
                 json_str(&f.snippet),
             );
         }
-        out.push_str(if self.findings.is_empty() { "],\n" } else { "\n  ],\n" });
-        out.push_str("  \"unsafe_inventory\": [");
-        for (i, s) in self.unsafe_inventory.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"file\": {}, \"line\": {}, \"kind\": {}, \"documented\": {}, \
-                 \"snippet\": {}}}",
-                json_str(&s.file),
-                s.line,
-                json_str(s.kind.label()),
-                s.documented,
-                json_str(&s.snippet),
-            );
-        }
-        out.push_str(if self.unsafe_inventory.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
+        out.push_str(if self.findings.is_empty() { "]\n" } else { "\n  ]\n" });
         out.push_str("}\n");
         out
     }
@@ -367,31 +301,23 @@ fn json_str(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::findings::RuleId;
-    use crate::rules::UnsafeKind;
 
     fn sample() -> Report {
         Report {
             root: ".".into(),
             files_scanned: 2,
             findings: vec![Finding {
-                rule: RuleId::DetWallClock,
+                rule: RuleId::MetricLiteralEscape,
                 file: "crates/core/src/pipeline.rs".into(),
                 line: 7,
-                message: "clock \"read\"".into(),
-                snippet: "let t = Instant::now();".into(),
-            }],
-            unsafe_inventory: vec![UnsafeSite {
-                file: "crates/nn/src/matrix.rs".into(),
-                line: 589,
-                kind: UnsafeKind::Block,
-                documented: true,
-                snippet: "unsafe { x86::axpy4_avx2(..) }".into(),
+                message: "metric \"name\"".into(),
+                snippet: "let n = \"ibcm_fake_total\";".into(),
             }],
             suppressions: vec![SuppressionEntry {
-                file: "crates/lm/src/scorer.rs".into(),
+                file: "crates/nn/src/matrix.rs".into(),
                 line: 42,
-                rule: "panic-index".into(),
-                reason: "router output < n_clusters".into(),
+                rule: "transitive-panic".into(),
+                reason: "shapes are asserted on entry".into(),
                 used: true,
             }],
             graph: GraphSummary {
@@ -425,7 +351,7 @@ mod tests {
     #[test]
     fn text_mentions_rule_and_location() {
         let text = sample().render_text();
-        assert!(text.contains("det-wall-clock"));
+        assert!(text.contains("error: [metric-literal-escape]"));
         assert!(text.contains("crates/core/src/pipeline.rs:7"));
         assert!(text.contains("1 errors"));
         assert!(text.contains("1 suppressions (1 used)"));
@@ -434,8 +360,8 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let json = sample().render_json();
-        assert!(json.contains("\"schema\": \"ibcm-lint/2\""));
-        assert!(json.contains("\\\"read\\\""), "quotes escaped: {json}");
+        assert!(json.contains("\"schema\": \"ibcm-lint/3\""));
+        assert!(json.contains("\\\"name\\\""), "quotes escaped: {json}");
         assert!(json.contains("\"suppressions_used\": 1"));
         assert!(json.contains("\"chain\""));
         assert!(json.contains("\"fences\""));
@@ -457,7 +383,7 @@ mod tests {
         r.suppressions.push(SuppressionEntry {
             file: "crates/obs/src/lib.rs".into(),
             line: 9,
-            rule: "det-wall-clock".into(),
+            rule: "metric-literal-escape".into(),
             reason: String::new(),
             used: false,
         });
@@ -470,15 +396,22 @@ mod tests {
     fn clean_report_gates_on_errors_only() {
         let mut r = sample();
         assert!(!r.clean());
+        assert_eq!(r.error_count(), 1);
         r.findings.clear();
         assert!(r.clean());
-        r.findings.push(Finding {
+        assert!(r.render_text().contains("0 errors"));
+    }
+
+    #[test]
+    fn stale_pragma_fails_the_run() {
+        let mut r = sample();
+        r.findings = vec![Finding {
             rule: RuleId::PragmaUnused,
             file: "x.rs".into(),
             line: 1,
             message: "stale".into(),
             snippet: String::new(),
-        });
-        assert!(r.clean(), "warnings do not fail the run");
+        }];
+        assert!(!r.clean(), "a stale pragma is an error, not a warning");
     }
 }

@@ -1,7 +1,7 @@
-//! Fixture: the unsafe-ordering-undocumented (U) rule fires on Relaxed
-//! atomics lacking an `// ordering:` justification in a designated
-//! lock-free module. Scanned by `lint_fixtures.rs` as
-//! `crates/served/src/queue.rs`; never compiled.
+//! Fixture: the conc-relaxed-undocumented (C) rule fires on Relaxed
+//! atomics lacking an `// ordering:` justification in an atomic protocol
+//! file. Scanned by `lint_fixtures.rs` as `crates/served/src/queue.rs`;
+//! never compiled.
 
 fn undocumented(depth: &AtomicUsize) -> usize {
     depth.load(Ordering::Relaxed)
@@ -23,6 +23,6 @@ fn stronger_orderings_exempt(head: &AtomicUsize, n: usize) {
 }
 
 fn suppressed(depth: &AtomicUsize) -> usize {
-    // ibcm-lint: allow(unsafe-ordering-undocumented, reason = "fixture demonstrating suppression")
+    // ibcm-lint: allow(conc-relaxed-undocumented, reason = "fixture demonstrating suppression")
     depth.load(Ordering::Relaxed)
 }

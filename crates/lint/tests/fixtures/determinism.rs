@@ -1,9 +1,8 @@
-//! Fixture: every determinism (D) rule fires at a known line. Scanned by
-//! `lint_fixtures.rs` as `crates/lm/src/model.rs` (a model-affecting src
-//! file outside ibcm-nn and ibcm-obs); never compiled.
-
-use std::collections::HashMap;
-use std::collections::{BTreeMap, HashSet};
+//! Fixture: the determinism (D) rule fires on every intrinsic outside
+//! ibcm-nn's reviewed allow-list, FMA included. Scanned by
+//! `lint_fixtures.rs` as `crates/lm/src/model.rs` (a src file outside
+//! ibcm-nn) and as `crates/nn/src/matrix.rs`; never compiled. Wall clocks,
+//! scalar FMA and std hash maps are clippy's (`tests/clippy_fixture.rs`).
 
 fn fused_kernel(a: __m256, b: __m256, c: __m256) -> __m256 {
     _mm256_fmadd_ps(a, b, c)
@@ -11,19 +10,4 @@ fn fused_kernel(a: __m256, b: __m256, c: __m256) -> __m256 {
 
 fn foreign_intrinsic(a: __m256, b: __m256) -> __m256 {
     _mm256_add_ps(a, b)
-}
-
-fn clocks() -> f64 {
-    let t = std::time::Instant::now();
-    let _wall = std::time::SystemTime::UNIX_EPOCH;
-    t.elapsed().as_secs_f64()
-}
-
-fn entropy() -> (f64, u8) {
-    let mut rng = thread_rng();
-    (rng.gen(), rand::random())
-}
-
-fn keyed_lookup(m: &std::collections::HashMap<u32, u32>) -> Option<&u32> {
-    m.get(&0)
 }

@@ -1,20 +1,20 @@
 //! Fixture: pragma-hygiene rules fire at known lines. Scanned by
-//! `lint_fixtures.rs` as `crates/lm/src/scorer.rs`; never compiled.
+//! `lint_fixtures.rs` as `crates/core/src/stream.rs`; never compiled.
 
-fn missing_reason(x: Option<u8>) -> u8 {
-    // ibcm-lint: allow(panic-unwrap)
-    x.unwrap()
+fn missing_reason() -> &'static str {
+    // ibcm-lint: allow(metric-literal-escape)
+    "ibcm_fixture_one_total"
 }
 
-fn unknown_rule(x: Option<u8>) -> u8 {
+fn unknown_rule() -> &'static str {
     // ibcm-lint: allow(no-such-rule, reason = "the rule id has a typo")
-    x.unwrap()
+    "ibcm_fixture_two_total"
 }
 
-// ibcm-lint: allow(panic-macro, reason = "suppresses nothing on this line")
+// ibcm-lint: allow(det-intrinsic-whitelist, reason = "suppresses nothing on this line")
 fn stale() {}
 
-fn valid_suppression(x: Option<u8>) -> u8 {
-    // ibcm-lint: allow(panic-unwrap, reason = "caller checked is_some above")
-    x.unwrap()
+fn valid_suppression() -> &'static str {
+    // ibcm-lint: allow(metric-literal-escape, reason = "a label that only looks like a metric name")
+    "ibcm_fixture_three_total"
 }

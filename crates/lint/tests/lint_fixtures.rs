@@ -12,7 +12,7 @@ use ibcm_lint::graph::Graph;
 use ibcm_lint::items::FileItems;
 use ibcm_lint::policy::FileCtx;
 use ibcm_lint::pragma;
-use ibcm_lint::rules::{scan_file, UnsafeKind};
+use ibcm_lint::rules::scan_file;
 use ibcm_lint::wire;
 
 /// Scans fixture text as if it lived at `as_path` and returns the sorted
@@ -44,101 +44,49 @@ fn pairs(expect: &[(&str, u32)]) -> Vec<(String, u32)> {
 
 #[test]
 fn determinism_fixture_fires_every_d_rule() {
-    let fired = fired(
-        "crates/lm/src/model.rs",
-        include_str!("fixtures/determinism.rs"),
+    let src = include_str!("fixtures/determinism.rs");
+    // Outside ibcm-nn every intrinsic is foreign; inside it, the FMA on
+    // line 8 is still off the allow-list while the plain add passes.
+    assert_eq!(
+        fired("crates/lm/src/model.rs", src),
+        pairs(&[("det-intrinsic-whitelist", 8), ("det-intrinsic-whitelist", 12)])
     );
     assert_eq!(
-        fired,
-        pairs(&[
-            ("det-default-hasher", 5),
-            ("det-default-hasher", 6),
-            ("det-fma-intrinsic", 9),
-            ("det-intrinsic-whitelist", 13),
-            ("det-wall-clock", 17),
-            ("det-wall-clock", 18),
-            ("det-ambient-rng", 23),
-            ("det-ambient-rng", 24),
-            ("det-default-hasher", 27),
-        ])
+        fired("crates/nn/src/matrix.rs", src),
+        pairs(&[("det-intrinsic-whitelist", 8)])
     );
 }
 
-#[test]
-fn panics_fixture_fires_every_p_rule_and_honors_pragma() {
-    let fired = fired("crates/lm/src/scorer.rs", include_str!("fixtures/panics.rs"));
-    // Line 26 (`v[0]`) is absent: its pragma on line 25 suppresses it, and
-    // the macro/pattern brackets at the bottom never fire at all.
-    assert_eq!(
-        fired,
-        pairs(&[
-            ("panic-unwrap", 6),
-            ("panic-expect", 10),
-            ("panic-macro", 15),
-            ("panic-macro", 17),
-            ("panic-index", 21),
-        ])
-    );
-}
-
-#[test]
-fn panics_fixture_is_quiet_off_the_hot_paths() {
-    // The same source scanned as a non-hot-path file raises only the
-    // now-stale pragma, never the panic rules.
-    let fired = fired("crates/lm/src/model.rs", include_str!("fixtures/panics.rs"));
-    assert_eq!(fired, pairs(&[("pragma-unused", 25)]));
-}
-
-#[test]
-fn unsafe_fixture_findings_and_inventory() {
-    let ctx = FileCtx::classify("crates/nn/src/matrix.rs").unwrap();
-    let scan = scan_file(&ctx, include_str!("fixtures/unsafe_hygiene.rs"));
-    let mut fired: Vec<(String, u32)> = scan
-        .findings
-        .iter()
-        .map(|f| (f.rule.id().to_string(), f.line))
-        .collect();
-    fired.sort();
-    assert_eq!(
-        fired,
-        pairs(&[("unsafe-missing-safety", 6), ("unsafe-undocumented-fn", 9)])
-    );
-    // The inventory records every site, documented or not.
-    let sites: Vec<(u32, &'static str, bool)> = scan
-        .unsafe_sites
-        .iter()
-        .map(|s| (s.line, s.kind.label(), s.documented))
-        .collect();
-    assert_eq!(
-        sites,
-        vec![
-            (6, UnsafeKind::Block.label(), false),
-            (9, UnsafeKind::Fn.label(), false),
-            (15, UnsafeKind::Block.label(), true),
-            (23, UnsafeKind::Fn.label(), true),
-            (25, UnsafeKind::Block.label(), true),
-        ]
-    );
+/// Runs the C rules over fixture text as if it lived at `as_path`, with the
+/// file's pragmas applied and their hygiene folded in (the orchestrator's
+/// workspace phase, for one file).
+fn conc_fired(as_path: &str, src: &str) -> Vec<(String, u32)> {
+    let (raw, _, _) = conc::check(&[scan_items(as_path, src)]);
+    let mut pragmas = pragma::collect(&ibcm_lint::lexer::lex(src));
+    let mut findings = pragma::suppress(&mut pragmas, raw);
+    let lines: Vec<&str> = src.lines().collect();
+    findings.extend(pragma::hygiene(&pragmas, as_path, &lines));
+    rule_lines(&findings)
 }
 
 #[test]
 fn atomic_ordering_fixture_fires_only_on_undocumented_relaxed() {
-    let fired = fired(
+    let fired = conc_fired(
         "crates/served/src/queue.rs",
         include_str!("fixtures/atomic_ordering.rs"),
     );
     // Line 7's Relaxed has no justification; the commented, stronger-
     // ordering, and pragma-suppressed sites stay quiet.
-    assert_eq!(fired, pairs(&[("unsafe-ordering-undocumented", 7)]));
+    assert_eq!(fired, pairs(&[("conc-relaxed-undocumented", 7)]));
 }
 
 #[test]
 fn atomic_ordering_rule_is_scoped_to_designated_modules() {
-    let fired = fired(
+    let fired = conc_fired(
         "crates/served/src/metrics.rs",
         include_str!("fixtures/atomic_ordering.rs"),
     );
-    // Outside ORDERING_DOCUMENTED_PATHS the rule never fires, so the
+    // Outside ATOMIC_PROTOCOL_PATHS the rule never fires, so the
     // suppression pragma on line 26 is reported as stale.
     assert_eq!(fired, pairs(&[("pragma-unused", 26)]));
 }
@@ -155,18 +103,18 @@ fn metrics_fixture_flags_only_metric_shaped_literals() {
 #[test]
 fn pragmas_fixture_fires_every_hygiene_rule() {
     let fired = fired(
-        "crates/lm/src/scorer.rs",
+        "crates/core/src/stream.rs",
         include_str!("fixtures/pragmas.rs"),
     );
-    // The reason-less pragma on line 5 still suppresses the unwrap on 6 —
+    // The reason-less pragma on line 5 still suppresses the literal on 6 —
     // but is itself an error, so nothing slips through CI. The unknown
-    // rule on line 10 suppresses nothing, so line 11's unwrap survives.
+    // rule on line 10 suppresses nothing, so line 11's literal survives.
     assert_eq!(
         fired,
         pairs(&[
             ("pragma-missing-reason", 5),
             ("pragma-unknown-rule", 10),
-            ("panic-unwrap", 11),
+            ("metric-literal-escape", 11),
             ("pragma-unused", 14),
         ])
     );

@@ -3,7 +3,10 @@
 //! so any new unsuppressed finding fails this test (and the CI job that
 //! runs the binary).
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
+
+use ibcm_lint::policy::{FileCtx, PANIC_FREE_PATHS};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -21,30 +24,53 @@ fn live_workspace_lints_clean() {
         report.files_scanned
     );
     assert!(
-        report.clean() && report.warn_count() == 0,
+        report.clean(),
         "workspace must lint clean, got:\n{}",
         report.render_text()
     );
 }
 
+/// Clippy's panic lints, as every panic-free file denies them.
+const PANIC_LINTS: [&str; 7] = [
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::unreachable",
+    "clippy::todo",
+    "clippy::unimplemented",
+    "clippy::indexing_slicing",
+];
+
 #[test]
-fn live_workspace_unsafe_is_fully_documented() {
-    let report = ibcm_lint::lint_workspace(&workspace_root()).expect("workspace walk succeeds");
-    let undocumented: Vec<_> = report
-        .unsafe_inventory
-        .iter()
-        .filter(|s| !s.documented)
-        .collect();
-    assert!(
-        undocumented.is_empty(),
-        "every unsafe site needs a SAFETY justification:\n{:#?}",
-        undocumented
-    );
-    // The AVX2 kernels exist, so the inventory must not be empty — an
-    // empty inventory would mean the scanner stopped seeing them.
-    assert!(
-        !report.unsafe_inventory.is_empty(),
-        "expected the ibcm-nn kernel sites in the inventory"
+fn panic_free_files_deny_the_seven_clippy_panic_lints() {
+    // Clippy enforces the panic-free contract: a file is on it exactly
+    // when it carries a `#![deny(..)]` naming the panic lints, and then it
+    // must name all seven. The transitive-panic rule seeds from the same
+    // list, so the two must agree.
+    let root = workspace_root();
+    let mut carrying = BTreeSet::new();
+    for rel in ibcm_lint::walk::rust_files(&root).expect("workspace walk succeeds") {
+        if FileCtx::classify(&rel).is_none() {
+            continue;
+        }
+        let src = std::fs::read_to_string(root.join(&rel)).expect("source file is readable");
+        for deny in src.split("#![deny(").skip(1) {
+            let body = deny.split(")]").next().unwrap_or_default();
+            let named: BTreeSet<&str> = body.split(',').map(str::trim).collect();
+            if PANIC_LINTS.iter().any(|lint| named.contains(lint)) {
+                let missing: Vec<_> = PANIC_LINTS.iter().filter(|l| !named.contains(*l)).collect();
+                assert!(
+                    missing.is_empty(),
+                    "{rel} denies only some panic lints; missing {missing:?}"
+                );
+                carrying.insert(rel.clone());
+            }
+        }
+    }
+    let listed: BTreeSet<String> = PANIC_FREE_PATHS.iter().map(|p| p.to_string()).collect();
+    assert_eq!(
+        carrying, listed,
+        "files denying the panic lints vs policy::PANIC_FREE_PATHS"
     );
 }
 
@@ -53,9 +79,16 @@ fn json_report_is_well_formed_enough_for_ci() {
     let report = ibcm_lint::lint_workspace(&workspace_root()).expect("workspace walk succeeds");
     let json = report.render_json();
     assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-    assert!(json.contains("\"schema\": \"ibcm-lint/2\""));
+    assert!(json.contains("\"schema\": \"ibcm-lint/3\""));
     assert!(json.contains("\"findings\""));
-    assert!(json.contains("\"unsafe_inventory\""));
+    for gone in [
+        "\"unsafe_inventory\"",
+        "\"unsafe_sites\"",
+        "\"warnings\"",
+        "\"severity\"",
+    ] {
+        assert!(!json.contains(gone), "{gone} is not part of ibcm-lint/3");
+    }
     assert!(json.contains("\"suppressions\""));
     assert!(json.contains("\"graph\""));
     assert!(json.contains("\"atomics\""));

@@ -1,4 +1,5 @@
-// ibcm-lint: allow(det-default-hasher, reason = "count maps are only iterated to fold order-free aggregates (integer sums, one write per distinct key into an indexed slot); no output depends on iteration order")
+#![expect(clippy::disallowed_types, reason = "count maps are only iterated to fold order-free aggregates (integer sums, one write per distinct key into an indexed slot); no output depends on iteration order")]
+
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};

@@ -1,3 +1,5 @@
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use ibcm_nn::{softmax_in_place, LstmState, Scratch, StepInput};
 
 use crate::error::LmError;
@@ -118,13 +120,13 @@ impl<'a> LmScorer<'a> {
 
     /// Advances every layer of the stack by one action.
     fn step_stack(&mut self, action: usize) {
+        #[expect(clippy::indexing_slicing, reason = "states has upper.len() + 1 entries by construction, so states[0] always exists")]
         self.model
             .lstm
-            // ibcm-lint: allow(panic-index, reason = "states has upper.len() + 1 entries by construction, so states[0] always exists")
             .step_scratch(&mut self.states[0], StepInput::Action(action), &mut self.scratch);
         for (li, layer) in self.model.upper.iter().enumerate() {
             let (below, above) = self.states.split_at_mut(li + 1);
-            // ibcm-lint: allow(panic-index, reason = "li < upper.len() and states.len() == upper.len() + 1, so below has li + 1 entries and above is non-empty")
+            #[expect(clippy::indexing_slicing, reason = "li < upper.len() and states.len() == upper.len() + 1, so below has li + 1 entries and above is non-empty")]
             layer.step_dense_scratch(&mut above[0], below[li].hidden(), &mut self.scratch);
         }
         self.fed_any = true;
@@ -140,7 +142,7 @@ impl<'a> LmScorer<'a> {
     pub fn feed(&mut self, action: usize) -> Option<StepScore> {
         match self.try_feed(action) {
             Ok(score) => score,
-            // ibcm-lint: allow(panic-macro, reason = "documented panicking convenience wrapper; the stream hot path uses try_feed")
+            #[expect(clippy::panic, reason = "documented panicking convenience wrapper; the stream hot path uses try_feed")]
             Err(e) => panic!("{e}"),
         }
     }
@@ -202,8 +204,8 @@ impl<'a> LmScorer<'a> {
     /// Panics if `action` is outside the model's vocabulary. Use
     /// [`LmScorer::try_advance`] on untrusted streams.
     pub fn advance(&mut self, action: usize) {
+        #[expect(clippy::panic, reason = "documented panicking convenience wrapper; the stream hot path uses try_advance")]
         if let Err(e) = self.try_advance(action) {
-            // ibcm-lint: allow(panic-macro, reason = "documented panicking convenience wrapper; the stream hot path uses try_advance")
             panic!("{e}");
         }
     }

@@ -1,4 +1,5 @@
-// ibcm-lint: allow(det-default-hasher, reason = "by_name and group_index are lookup/dedup tables; they are never iterated, so hash order cannot reach any output")
+#![expect(clippy::disallowed_types, reason = "by_name and group_index are lookup/dedup tables; they are never iterated, so hash order cannot reach any output")]
+
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};

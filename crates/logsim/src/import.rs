@@ -17,7 +17,8 @@
 //! minute. The catalog is either the [`crate::ActionCatalog::standard`]
 //! catalog (unknown actions rejected) or built from the observed actions.
 
-// ibcm-lint: allow(det-default-hasher, reason = "session assembly follows the file-order `order` vec, user interning is first-seen lookup-only, and the one values() iteration is sorted and deduped before use")
+#![expect(clippy::disallowed_types, reason = "session assembly follows the file-order `order` vec, user interning is first-seen lookup-only, and the one values() iteration is sorted and deduped before use")]
+
 use std::collections::HashMap;
 use std::io::BufRead;
 

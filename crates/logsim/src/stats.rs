@@ -25,8 +25,8 @@ pub struct UserActivity {
 }
 
 /// Per-user activity profiles, most active (by session count) first.
+#[expect(clippy::disallowed_types, reason = "profiles are fully sorted with a total (sessions, user) order before returning, per-user aggregates are integer sums, and the HashSet is only measured with len()")]
 pub fn user_activity(dataset: &Dataset) -> Vec<UserActivity> {
-    // ibcm-lint: allow(det-default-hasher, reason = "profiles are fully sorted with a total (sessions, user) order before returning, per-user aggregates are integer sums, and the HashSet is only measured with len()")
     use std::collections::{HashMap, HashSet};
     let mut sessions_by_user: HashMap<UserId, Vec<&Session>> = HashMap::new();
     for s in dataset.sessions() {

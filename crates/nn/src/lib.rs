@@ -38,9 +38,9 @@
 // `matrix::kernels::x86`, which carry per-function safety contracts.
 #![deny(unsafe_code)]
 // Inside those kernels, every unsafe operation must sit in its own
-// `unsafe { }` block with a `// SAFETY:` justification (ibcm-lint's
-// unsafe-hygiene rules check the comments; this makes rustc check the
-// block structure).
+// `unsafe { }` block with a `// SAFETY:` justification (clippy's
+// undocumented_unsafe_blocks and missing_safety_doc check the comments;
+// this makes rustc check the block structure).
 #![deny(unsafe_op_in_unsafe_fn)]
 // Index-based loops are the clearest notation for the numeric kernels here.
 #![allow(clippy::needless_range_loop)]

@@ -1,10 +1,10 @@
 //! The workspace's one sanctioned monotonic-clock handle.
 //!
-//! `ibcm-lint`'s `det-wall-clock` rule forbids `Instant::now()` and
-//! `SystemTime` outside `ibcm-obs` and `ibcm-bench`: a clock read in a
-//! model crate is one refactor away from leaking into model bytes or alarm
-//! decisions. Model crates that need stage timings for telemetry take them
-//! through [`Stopwatch`] instead — the value lives on the observe-only
+//! The workspace `clippy.toml` disallows `Instant::now()` and
+//! `SystemTime::now()` outside `ibcm-obs` and `ibcm-bench`: a clock read in
+//! a model crate is one refactor away from leaking into model bytes or
+//! alarm decisions. Model crates that need stage timings for telemetry take
+//! them through [`Stopwatch`] instead — the value lives on the observe-only
 //! side by construction, and the call sites lint clean.
 
 use std::time::Instant;

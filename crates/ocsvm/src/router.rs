@@ -1,3 +1,5 @@
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use ibcm_logsim::{ActionId, ClusterId};
 use serde::{Deserialize, Serialize};
 
@@ -98,10 +100,9 @@ impl ClusterRouter {
         let horizon = actions.len().min(lock_in.max(1));
         let mut votes = vec![0usize; self.svms.len()];
         let mut last_scores = vec![0.0; self.svms.len()];
+        #[expect(clippy::indexing_slicing, reason = "end <= horizon <= actions.len(), so the prefix slice is always in bounds; argmax returns an index < scores.len() == svms.len() == votes.len(), and new() asserts svms is non-empty")]
         for end in 1..=horizon {
-            // ibcm-lint: allow(panic-index, reason = "end <= horizon <= actions.len(), so the prefix slice is always in bounds")
             let scores = self.scores(&actions[..end]);
-            // ibcm-lint: allow(panic-index, reason = "argmax returns an index < scores.len() == svms.len() == votes.len(), and new() asserts svms is non-empty")
             votes[argmax(&scores)] += 1;
             last_scores = scores;
         }
@@ -115,21 +116,20 @@ impl ClusterRouter {
 
     /// Decision scores of a specific cluster's OC-SVM for every prefix of
     /// `actions` — the per-action score curves of Fig. 6.
+    #[expect(clippy::indexing_slicing, reason = "an out-of-range cluster is a caller bug; routing only emits clusters < n_clusters; end ranges over 1..=actions.len(), so the prefix slice is always in bounds")]
     pub fn prefix_scores(&self, actions: &[ActionId], cluster: ClusterId) -> Vec<f64> {
-        // ibcm-lint: allow(panic-index, reason = "an out-of-range cluster is a caller bug; routing only emits clusters < n_clusters")
         let svm = &self.svms[cluster.index()];
         (1..=actions.len())
-            // ibcm-lint: allow(panic-index, reason = "end ranges over 1..=actions.len(), so the prefix slice is always in bounds")
             .map(|end| svm.decision(&self.featurizer.features(&actions[..end])))
             .collect()
     }
 
     /// Maximum decision score across all clusters for every prefix (the
     /// "max score" curve of Fig. 6).
+    #[expect(clippy::indexing_slicing, reason = "end ranges over 1..=actions.len(), so the prefix slice is always in bounds")]
     pub fn prefix_max_scores(&self, actions: &[ActionId]) -> Vec<f64> {
         (1..=actions.len())
             .map(|end| {
-                // ibcm-lint: allow(panic-index, reason = "end ranges over 1..=actions.len(), so the prefix slice is always in bounds")
                 self.scores(&actions[..end])
                     .into_iter()
                     .fold(f64::NEG_INFINITY, f64::max)

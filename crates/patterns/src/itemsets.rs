@@ -1,4 +1,5 @@
-// ibcm-lint: allow(det-default-hasher, reason = "candidate lists collected from item_counts are sorted before any downstream use; remaining accesses are keyed lookups")
+#![expect(clippy::disallowed_types, reason = "candidate lists collected from item_counts are sorted before any downstream use; remaining accesses are keyed lookups")]
+
 use std::collections::{BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};

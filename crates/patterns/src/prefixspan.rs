@@ -1,4 +1,5 @@
-// ibcm-lint: allow(det-default-hasher, reason = "the frequent-item list collected from the count map is sorted before recursion, so pattern output order is hash-independent")
+#![expect(clippy::disallowed_types, reason = "the frequent-item list collected from the count map is sorted before recursion, so pattern output order is hash-independent")]
+
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};

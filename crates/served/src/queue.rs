@@ -7,6 +7,8 @@
 //! re-checks the shard's crashed flag every 5 ms, so a crashed worker
 //! needs to signal nothing.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};

@@ -18,6 +18,8 @@
 //! This file is on the linter's panic-free hot-path list: the only panic
 //! is the deliberate chaos kill switch, which exists to be caught.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -283,8 +285,8 @@ fn step(sm: &mut StreamMonitor<'_>, cmd: ShardCommand, ctx: &mut WorkerCtx<'_>) 
             finish_data(sm, seq, ctx);
             Flow::Continue
         }
+        #[expect(clippy::panic, reason = "deliberate chaos kill switch; always caught at run_worker's catch_unwind boundary and handled by the supervisor's restart protocol")]
         ShardCommand::Kill => {
-            // ibcm-lint: allow(panic-macro, reason = "deliberate chaos kill switch; always caught at run_worker's catch_unwind boundary and handled by the supervisor's restart protocol")
             panic!("{CHAOS_KILL_MSG}")
         }
         ShardCommand::Checkpoint => {

@@ -25,6 +25,8 @@
 //!
 //! This file is on the linter's panic-free hot-path list.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Once};
@@ -172,6 +174,7 @@ impl PendingRing {
     /// Insert-or-overwrite at the alarm's seq. Seqs below `base` were
     /// already released (callers filter on `released_through`, which
     /// equals `base - 1`); they are dropped.
+    #[expect(clippy::indexing_slicing, reason = "idx < slots.len() — the resize_with above grows the buffer through idx")]
     fn insert(&mut self, merged: MergedAlarm) {
         let Some(offset) = merged.seq.checked_sub(self.base) else {
             return;
@@ -180,7 +183,6 @@ impl PendingRing {
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
         }
-        // ibcm-lint: allow(panic-index, reason = "idx < slots.len() — the resize_with above grows the buffer through idx")
         self.slots[idx] = Some(merged);
     }
 

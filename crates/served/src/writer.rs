@@ -31,6 +31,8 @@
 //! survives crashes and restarts, and is joined at drain (or asked to
 //! finish and detached on a best-effort `Drop`).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 

@@ -3,6 +3,8 @@
 //! behaviors from raw sessions, and that frequent-pattern mining
 //! characterizes the recovered clusters the way §IV-B describes.
 
+#![expect(clippy::disallowed_types, reason = "test-only per-cluster archetype tallies; only summed and maxed, so iteration order cannot matter")]
+
 use std::collections::HashMap;
 
 use ibcm::{
