@@ -66,10 +66,10 @@ pub use config::PipelineConfig;
 pub use detector::{MisuseDetector, SessionVerdict, WeightedVerdict};
 pub use drift::{DriftConfig, DriftDetector, DriftStatus};
 pub use error::CoreError;
-pub use monitor::{AlarmPolicy, MonitorEvent, OnlineMonitor, SharedMonitor};
+pub use monitor::{AlarmPolicy, MonitorEvent, OnlineMonitor};
 pub use persist::LoadReport;
 pub use pipeline::{ClusterData, Pipeline, TrainedPipeline};
 pub use stream::{
-    ClockPolicy, FaultAction, FaultCounters, FaultKind, FaultPolicy, ObserveOutcome,
-    SessionEvent, StreamAlarm, StreamAlarmKind, StreamConfig, StreamMonitor,
+    Admission, ClockPolicy, FaultAction, FaultCounters, FaultKind, FaultPolicy, ObserveOutcome,
+    SessionDirectory, SessionEvent, StreamAlarm, StreamAlarmKind, StreamConfig, StreamMonitor,
 };

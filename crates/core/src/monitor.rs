@@ -1,9 +1,7 @@
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use ibcm_lm::{LmScorer, StepScore};
 use ibcm_logsim::{ActionId, ClusterId};
-use parking_lot::Mutex;
 
 use crate::detector::MisuseDetector;
 
@@ -234,32 +232,6 @@ impl OnlineMonitor<'_> {
     }
 }
 
-/// A thread-safe handle around an [`OnlineMonitor`], for deployments where
-/// the log feed and the alert consumer live on different threads.
-#[derive(Debug, Clone)]
-pub struct SharedMonitor<'a> {
-    inner: Arc<Mutex<OnlineMonitor<'a>>>,
-}
-
-impl<'a> SharedMonitor<'a> {
-    /// Wraps a monitor.
-    pub fn new(monitor: OnlineMonitor<'a>) -> Self {
-        SharedMonitor {
-            inner: Arc::new(Mutex::new(monitor)),
-        }
-    }
-
-    /// Feeds one action (blocking on the internal lock).
-    pub fn feed(&self, action: ActionId) -> MonitorEvent {
-        self.inner.lock().feed(action)
-    }
-
-    /// Total alarms raised so far.
-    pub fn alarms(&self) -> usize {
-        self.inner.lock().alarms()
-    }
-}
-
 fn argmax_f64(xs: &[f64]) -> usize {
     xs.iter()
         .enumerate()
@@ -389,21 +361,6 @@ mod tests {
         for &a in &[0usize, 1, 2, 0, 1, 2] {
             assert!(!m.feed(ActionId(a)).alarm);
         }
-    }
-
-    #[test]
-    fn shared_monitor_is_send_across_threads() {
-        let d = detector();
-        let shared = SharedMonitor::new(d.monitor(AlarmPolicy::default()));
-        std::thread::scope(|scope| {
-            let s1 = shared.clone();
-            scope.spawn(move || {
-                for &a in &[0usize, 1, 2, 0, 1, 2] {
-                    s1.feed(ActionId(a));
-                }
-            });
-        });
-        assert_eq!(shared.alarms(), 0);
     }
 
     #[test]

@@ -371,8 +371,8 @@ fn get_fault_action(buf: &mut Bytes, what: &str) -> Result<FaultAction, CoreErro
 impl StreamMonitor<'_> {
     /// Serializes the monitor's full live state to `IBCS` checkpoint bytes.
     ///
-    /// Active sessions are ordered by user index, so checkpoints of equal
-    /// state are byte-identical regardless of hash-map iteration order.
+    /// Active sessions are written in user-index order, so checkpoints of
+    /// equal state are byte-identical.
     pub fn checkpoint(&self) -> Vec<u8> {
         let snap = self.snapshot();
         let detector = self.detector();

@@ -7,6 +7,19 @@
 //! [`OnlineMonitor`] per active session, surfacing alarms with user
 //! attribution.
 //!
+//! # One set of lifecycle rules
+//!
+//! Which event reaches which session is decided by a [`SessionDirectory`]:
+//! the stream clock, the fault classification, timeouts, capacity shedding
+//! and session ends. [`SessionDirectory::plan`] turns an event into an
+//! [`Admission`] without changing anything, and [`SessionDirectory::commit`]
+//! records it. [`StreamMonitor::ingest`] is plan, then
+//! [`StreamMonitor::apply`], which commits the admission to the monitor's
+//! own directory and runs it against the per-session monitors. The sharded
+//! daemon (`ibcm-served`) plans every event against one central directory
+//! and hands each shard's monitor the admissions to apply, so the rules run
+//! once, in one place, at any shard count.
+//!
 //! # Fault tolerance
 //!
 //! Production streams are not well-behaved: events arrive with clocks that
@@ -24,10 +37,9 @@
 //! [`StreamMonitor::checkpoint`] in `persist.rs` and DESIGN.md, "Failure
 //! model & recovery".
 
-#![expect(clippy::disallowed_types, reason = "the active-session map is iterated only in shed_oldest, which takes a (last_minute, user index) minimum with a total-order tie-break; checkpoints sort by user index before serializing")]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ibcm_logsim::{ActionId, ClusterId, UserId};
 use serde::{Deserialize, Serialize};
@@ -53,6 +65,17 @@ struct StreamMetrics {
     sessions_ended: ibcm_obs::Counter,
     active_sessions: ibcm_obs::Gauge,
     clock_minute: ibcm_obs::Gauge,
+}
+
+impl StreamMetrics {
+    fn fault(&self, kind: FaultKind) -> &ibcm_obs::Counter {
+        match kind {
+            FaultKind::NonMonotonic => &self.fault_non_monotonic,
+            FaultKind::Duplicate => &self.fault_duplicate,
+            FaultKind::UnknownAction => &self.fault_unknown_action,
+            FaultKind::UnknownUser => &self.fault_unknown_user,
+        }
+    }
 }
 
 fn stream_metrics() -> &'static StreamMetrics {
@@ -201,6 +224,17 @@ pub struct FaultCounters {
     pub shed: u64,
 }
 
+impl FaultCounters {
+    fn count(&mut self, kind: FaultKind) {
+        match kind {
+            FaultKind::NonMonotonic => self.non_monotonic += 1,
+            FaultKind::Duplicate => self.duplicate += 1,
+            FaultKind::UnknownAction => self.unknown_action += 1,
+            FaultKind::UnknownUser => self.unknown_user += 1,
+        }
+    }
+}
+
 /// Stream sessionization and alarm settings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
@@ -254,7 +288,8 @@ pub struct StreamAlarm {
     pub kind: StreamAlarmKind,
 }
 
-/// Everything [`StreamMonitor::ingest`] reports about one event.
+/// Everything [`StreamMonitor::ingest`] or [`StreamMonitor::apply`]
+/// reports about one event.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObserveOutcome {
     /// The scoring alarm raised by the event's own session, if any.
@@ -268,15 +303,255 @@ pub struct ObserveOutcome {
     pub dropped: bool,
 }
 
-/// One monitored session: the online monitor plus the bookkeeping the
-/// fault policy and checkpointing need.
+/// The directory's record of one active session: what the rules read.
 #[derive(Debug)]
-struct ActiveSession<'a> {
-    monitor: OnlineMonitor<'a>,
+struct SessionEntry {
     /// Minute of the session's last processed event (post-clamping).
     last_minute: u64,
     /// The session's last processed action (duplicate detection).
     last_action: Option<ActionId>,
+}
+
+/// The session-lifecycle rules of a stream and the state they read: the
+/// stream clock, the fault counters, the session totals and each active
+/// session's last minute and action.
+///
+/// [`plan`](SessionDirectory::plan) decides what one event does, in a fixed
+/// order — clock, unknown user, unknown action, duplicate, timeout,
+/// capacity victims, end action — without changing the directory;
+/// [`commit`](SessionDirectory::commit) records the decision. Planning is
+/// free of side effects, so a caller may plan, find it cannot deliver the
+/// result yet, and plan the same event again later. The directory emits no
+/// registry metrics: [`StreamMonitor::apply`] counts what it applies.
+#[derive(Debug)]
+pub struct SessionDirectory {
+    config: StreamConfig,
+    vocab_size: usize,
+    /// Maximum (post-clamping) minute committed so far.
+    clock: u64,
+    counters: FaultCounters,
+    sessions_started: usize,
+    sessions_ended: usize,
+    /// Active sessions in user order, which makes victim selection and
+    /// checkpoint serialization deterministic.
+    sessions: BTreeMap<UserId, SessionEntry>,
+}
+
+/// What a [`SessionDirectory`] decided about one event. Only
+/// [`SessionDirectory::plan`] builds one, so whoever applies it applies a
+/// decision some directory made.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Admission {
+    /// The event, its minute clamped to the stream clock when the clock
+    /// policy clamps.
+    event: SessionEvent,
+    /// Every fault class the event matched, in classification order.
+    faults: Vec<FaultKind>,
+    /// Whether the policy drops the event before it reaches a session.
+    dropped: bool,
+    /// Whether the user's previous session timed out and closes first.
+    timed_out: bool,
+    /// Sessions shed for capacity, in eviction order, with their last
+    /// minutes.
+    victims: Vec<(UserId, u64)>,
+    /// Whether the event opens a new session.
+    opens: bool,
+    /// Whether the event's action ends its session.
+    ends: bool,
+}
+
+impl Admission {
+    /// The users whose sessions this admission sheds, in eviction order.
+    pub fn victims(&self) -> impl Iterator<Item = UserId> + '_ {
+        self.victims.iter().map(|&(user, _)| user)
+    }
+
+    /// Removes the capacity victims from the admission and returns them in
+    /// eviction order. The sharded daemon sheds them on their own shards
+    /// and delivers the rest of the admission to the event's shard.
+    pub fn take_victims(&mut self) -> Vec<UserId> {
+        std::mem::take(&mut self.victims)
+            .into_iter()
+            .map(|(user, _)| user)
+            .collect()
+    }
+
+    fn into_dropped(mut self) -> Self {
+        self.dropped = true;
+        self
+    }
+}
+
+impl SessionDirectory {
+    /// An empty directory applying `config`'s rules, with `detector`'s
+    /// vocabulary as the known-action range.
+    pub fn new(detector: &MisuseDetector, config: StreamConfig) -> Self {
+        SessionDirectory {
+            config,
+            vocab_size: detector.vocab_size(),
+            clock: 0,
+            counters: FaultCounters::default(),
+            sessions_started: 0,
+            sessions_ended: 0,
+            sessions: BTreeMap::new(),
+        }
+    }
+
+    /// Number of active sessions.
+    pub fn active_sessions(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// Total sessions opened so far.
+    pub fn sessions_started(&self) -> usize {
+        self.sessions_started
+    }
+
+    /// Total sessions closed so far (logout, timeout, or shedding).
+    pub fn sessions_ended(&self) -> usize {
+        self.sessions_ended
+    }
+
+    /// Per-fault-class counters of every committed admission.
+    pub fn fault_counters(&self) -> FaultCounters {
+        self.counters
+    }
+
+    /// Decides what `event` does, without changing the directory.
+    pub fn plan(&self, event: SessionEvent) -> Admission {
+        let faults = &self.config.faults;
+        let mut adm = Admission {
+            event,
+            faults: Vec::new(),
+            dropped: false,
+            timed_out: false,
+            victims: Vec::new(),
+            opens: false,
+            ends: false,
+        };
+
+        // Clock fault: classify before anything can act on the bad minute.
+        if event.minute < self.clock {
+            adm.faults.push(FaultKind::NonMonotonic);
+            match faults.non_monotonic {
+                ClockPolicy::Clamp => adm.event.minute = self.clock,
+                ClockPolicy::Drop => return adm.into_dropped(),
+            }
+        }
+        if faults
+            .known_users
+            .is_some_and(|known| event.user.index() >= known)
+        {
+            adm.faults.push(FaultKind::UnknownUser);
+            if faults.unknown_users == FaultAction::Drop {
+                return adm.into_dropped();
+            }
+        }
+        // Unknown action (outside the detector's model vocabulary).
+        if event.action.index() >= self.vocab_size {
+            adm.faults.push(FaultKind::UnknownAction);
+            if faults.unknown_actions == FaultAction::Drop {
+                return adm.into_dropped();
+            }
+        }
+
+        // Timeout and duplicate checks against the user's current session.
+        let minute = adm.event.minute;
+        match self.sessions.get(&event.user) {
+            Some(entry) => {
+                adm.timed_out =
+                    minute.saturating_sub(entry.last_minute) > self.config.session_timeout_minutes;
+                if !adm.timed_out
+                    && entry.last_action == Some(event.action)
+                    && entry.last_minute == minute
+                {
+                    adm.faults.push(FaultKind::Duplicate);
+                    if faults.duplicates == FaultAction::Drop {
+                        return adm.into_dropped();
+                    }
+                }
+                adm.opens = adm.timed_out;
+            }
+            None => adm.opens = true,
+        }
+
+        // Capacity: shed the oldest sessions before opening a new one.
+        if adm.opens {
+            if let Some(cap) = faults.max_active_sessions {
+                adm.victims = self.victims(cap.max(1), event.user);
+            }
+        }
+        adm.ends = self.config.end_actions.contains(&event.action);
+        adm
+    }
+
+    /// The sessions a new session for `user` must shed to stay within
+    /// `cap`: repeatedly the minimum `(last_minute, user index)` among the
+    /// other users' sessions (`user`'s own entry, if any, has timed out).
+    fn victims(&self, cap: usize, user: UserId) -> Vec<(UserId, u64)> {
+        let mut live = self.sessions.len() - usize::from(self.sessions.contains_key(&user));
+        let mut victims: Vec<(UserId, u64)> = Vec::new();
+        while live >= cap {
+            let oldest = self
+                .sessions
+                .iter()
+                .filter(|(u, _)| **u != user && victims.iter().all(|(v, _)| v != *u))
+                .min_by_key(|(u, e)| (e.last_minute, u.index()));
+            let Some((&victim, entry)) = oldest else {
+                break;
+            };
+            victims.push((victim, entry.last_minute));
+            live -= 1;
+        }
+        victims
+    }
+
+    /// Records an admission planned by this directory (or, on a shard of
+    /// the daemon, by the central one).
+    pub fn commit(&mut self, adm: &Admission) {
+        for &kind in &adm.faults {
+            self.counters.count(kind);
+        }
+        // A clock-dropped event's minute is behind the clock, so this only
+        // ever moves the clock forward.
+        self.clock = self.clock.max(adm.event.minute);
+        if adm.dropped {
+            self.counters.dropped += 1;
+            return;
+        }
+        let user = adm.event.user;
+        if adm.timed_out {
+            self.sessions.remove(&user);
+            self.sessions_ended += 1;
+        }
+        for &(victim, _) in &adm.victims {
+            self.shed(victim);
+        }
+        if adm.opens {
+            self.sessions_started += 1;
+        }
+        if adm.ends {
+            self.sessions.remove(&user);
+            self.sessions_ended += 1;
+        } else {
+            self.sessions.insert(
+                user,
+                SessionEntry {
+                    last_minute: adm.event.minute,
+                    last_action: Some(adm.event.action),
+                },
+            );
+        }
+    }
+
+    /// Closes `user`'s session as shed and returns its last minute, or
+    /// `None` when the user has no active session.
+    fn shed(&mut self, user: UserId) -> Option<u64> {
+        let entry = self.sessions.remove(&user)?;
+        self.sessions_ended += 1;
+        self.counters.shed += 1;
+        Some(entry.last_minute)
+    }
 }
 
 /// Watches an interleaved multi-user event stream, maintaining one online
@@ -301,13 +576,9 @@ struct ActiveSession<'a> {
 #[derive(Debug)]
 pub struct StreamMonitor<'a> {
     detector: &'a MisuseDetector,
-    config: StreamConfig,
-    active: HashMap<UserId, ActiveSession<'a>>,
-    /// Maximum (post-clamping) minute processed so far.
-    clock: u64,
-    counters: FaultCounters,
-    sessions_started: usize,
-    sessions_ended: usize,
+    directory: SessionDirectory,
+    /// One online monitor per session active in `directory`.
+    monitors: BTreeMap<UserId, OnlineMonitor<'a>>,
 }
 
 impl MisuseDetector {
@@ -315,12 +586,8 @@ impl MisuseDetector {
     pub fn stream_monitor(&self, config: StreamConfig) -> StreamMonitor<'_> {
         StreamMonitor {
             detector: self,
-            config,
-            active: HashMap::new(),
-            clock: 0,
-            counters: FaultCounters::default(),
-            sessions_started: 0,
-            sessions_ended: 0,
+            directory: SessionDirectory::new(self, config),
+            monitors: BTreeMap::new(),
         }
     }
 }
@@ -328,32 +595,32 @@ impl MisuseDetector {
 impl StreamMonitor<'_> {
     /// Number of sessions currently being monitored.
     pub fn active_sessions(&self) -> usize {
-        self.active.len()
+        self.directory.active_sessions()
     }
 
     /// Total sessions opened so far.
     pub fn sessions_started(&self) -> usize {
-        self.sessions_started
+        self.directory.sessions_started()
     }
 
     /// Total sessions closed so far (logout, timeout, or shedding).
     pub fn sessions_ended(&self) -> usize {
-        self.sessions_ended
+        self.directory.sessions_ended()
     }
 
     /// Per-fault-class counters accumulated so far.
     pub fn fault_counters(&self) -> FaultCounters {
-        self.counters
+        self.directory.fault_counters()
     }
 
     /// The stream clock: the maximum event minute processed so far.
     pub fn clock_minute(&self) -> u64 {
-        self.clock
+        self.directory.clock
     }
 
     /// The stream configuration in effect.
     pub fn config(&self) -> &StreamConfig {
-        &self.config
+        &self.directory.config
     }
 
     /// The detector this monitor scores against.
@@ -372,146 +639,101 @@ impl StreamMonitor<'_> {
     /// alarm, sessions shed for capacity, fault classifications, and
     /// whether the event was dropped.
     pub fn ingest(&mut self, event: SessionEvent) -> ObserveOutcome {
+        let admission = self.directory.plan(event);
+        self.apply(admission)
+    }
+
+    /// Commits `admission` to this monitor's directory and carries it out
+    /// on the per-session monitors: closes a timed-out session, sheds the
+    /// capacity victims, feeds the event and closes the session on an end
+    /// action. This is where every `ibcm_stream_*` metric is counted.
+    ///
+    /// [`StreamMonitor::ingest`] applies what its own directory planned; a
+    /// shard of the sharded daemon applies what the daemon's central
+    /// directory planned, with the victims shed separately through
+    /// [`StreamMonitor::shed_session`].
+    pub fn apply(&mut self, admission: Admission) -> ObserveOutcome {
         let metrics = stream_metrics();
         metrics.events.inc();
-        let mut out = ObserveOutcome::default();
-
-        // Clock fault: classify before anything can act on the bad minute.
-        let mut minute = event.minute;
-        if minute < self.clock {
-            out.faults.push(FaultKind::NonMonotonic);
-            self.counters.non_monotonic += 1;
-            metrics.fault_non_monotonic.inc();
-            match self.config.faults.non_monotonic {
-                ClockPolicy::Clamp => minute = self.clock,
-                ClockPolicy::Drop => return self.drop_event(out),
-            }
-        } else {
-            self.clock = minute;
-            metrics.clock_minute.set(minute as i64);
+        for &kind in &admission.faults {
+            metrics.fault(kind).inc();
         }
-
-        // Unknown user.
-        if let Some(known) = self.config.faults.known_users {
-            if event.user.index() >= known {
-                out.faults.push(FaultKind::UnknownUser);
-                self.counters.unknown_user += 1;
-                metrics.fault_unknown_user.inc();
-                if self.config.faults.unknown_users == FaultAction::Drop {
-                    return self.drop_event(out);
-                }
-            }
+        self.directory.commit(&admission);
+        let Admission {
+            event,
+            faults,
+            dropped,
+            timed_out,
+            victims,
+            opens,
+            ends,
+        } = admission;
+        if !faults.contains(&FaultKind::NonMonotonic) {
+            metrics.clock_minute.set(event.minute as i64);
         }
-
-        // Unknown action (outside the detector's model vocabulary).
-        if event.action.index() >= self.detector.vocab_size() {
-            out.faults.push(FaultKind::UnknownAction);
-            self.counters.unknown_action += 1;
-            metrics.fault_unknown_action.inc();
-            if self.config.faults.unknown_actions == FaultAction::Drop {
-                return self.drop_event(out);
-            }
+        if dropped {
+            metrics.dropped.inc();
+            return ObserveOutcome {
+                faults,
+                dropped,
+                ..ObserveOutcome::default()
+            };
         }
-
-        // Timeout and duplicate checks against the user's current session.
-        if let Some(sess) = self.active.get(&event.user) {
-            let timed_out = minute.saturating_sub(sess.last_minute)
-                > self.config.session_timeout_minutes;
-            if !timed_out
-                && sess.last_action == Some(event.action)
-                && sess.last_minute == minute
-            {
-                out.faults.push(FaultKind::Duplicate);
-                self.counters.duplicate += 1;
-                metrics.fault_duplicate.inc();
-                if self.config.faults.duplicates == FaultAction::Drop {
-                    return self.drop_event(out);
-                }
-            }
-            if timed_out {
-                self.active.remove(&event.user);
-                self.end_sessions_metric(1);
-            }
+        if timed_out {
+            self.monitors.remove(&event.user);
+            metrics.sessions_ended.inc();
         }
-
-        // Capacity: shed the oldest session(s) before opening a new one.
-        if !self.active.contains_key(&event.user) {
-            if let Some(cap) = self.config.faults.max_active_sessions {
-                while self.active.len() >= cap.max(1) {
-                    match self.shed_oldest() {
-                        Some(alarm) => out.shed.push(alarm),
-                        None => break,
-                    }
-                }
-            }
+        let shed = victims
+            .into_iter()
+            .filter_map(|(user, minute)| self.shed_monitor(user, minute))
+            .collect();
+        if opens {
+            metrics.sessions_started.inc();
         }
 
         let detector = self.detector;
-        let policy = self.config.policy;
-        let sess = self.active.entry(event.user).or_insert_with(|| {
-            self.sessions_started += 1;
-            metrics.sessions_started.inc();
-            ActiveSession {
-                monitor: detector.monitor(policy),
-                last_minute: minute,
-                last_action: None,
-            }
-        });
-        sess.last_minute = minute;
-        sess.last_action = Some(event.action);
-        let outcome = sess.monitor.feed(event.action);
+        let policy = self.directory.config.policy;
+        let monitor = self
+            .monitors
+            .entry(event.user)
+            .or_insert_with(|| detector.monitor(policy));
+        let outcome = monitor.feed(event.action);
         if outcome.alarm {
             count_alarm("score", Some(outcome.cluster));
         }
-        out.alarm = outcome.alarm.then_some(StreamAlarm {
+        let alarm = outcome.alarm.then_some(StreamAlarm {
             user: event.user,
             position: outcome.position,
-            minute,
+            minute: event.minute,
             windowed_likelihood: outcome.windowed_likelihood,
             trend: outcome.trend_alarm,
             kind: StreamAlarmKind::Score,
         });
-        // Explicit session end.
-        if self.config.end_actions.contains(&event.action) {
-            self.active.remove(&event.user);
-            self.end_sessions_metric(1);
+        if ends {
+            self.monitors.remove(&event.user);
+            metrics.sessions_ended.inc();
         }
-        metrics.active_sessions.set(self.active.len() as i64);
-        out
+        metrics.active_sessions.set(self.monitors.len() as i64);
+        ObserveOutcome {
+            alarm,
+            shed,
+            faults,
+            dropped,
+        }
     }
 
-    fn drop_event(&mut self, mut out: ObserveOutcome) -> ObserveOutcome {
-        self.counters.dropped += 1;
-        stream_metrics().dropped.inc();
-        out.dropped = true;
-        out
-    }
-
-    /// Closes `n` sessions' worth of bookkeeping: the struct counter plus
-    /// the registry counter stay in lockstep.
-    fn end_sessions_metric(&mut self, n: usize) {
-        self.sessions_ended += n;
-        stream_metrics().sessions_ended.add(n as u64);
-    }
-
-    /// Removes the session with the oldest last-event minute (ties broken
-    /// by lowest user index, so the choice is deterministic regardless of
-    /// hash-map iteration order) and returns its shed alarm.
-    fn shed_oldest(&mut self) -> Option<StreamAlarm> {
-        let victim = self
-            .active
-            .iter()
-            .min_by_key(|(user, sess)| (sess.last_minute, user.index()))
-            .map(|(user, _)| *user)?;
-        let sess = self.active.remove(&victim)?;
-        self.end_sessions_metric(1);
-        self.counters.shed += 1;
-        stream_metrics().shed.inc();
-        count_alarm("shed", sess.monitor.current_cluster());
+    /// Removes a shed session's monitor and returns its shed alarm; the
+    /// directory has already closed the session.
+    fn shed_monitor(&mut self, user: UserId, last_minute: u64) -> Option<StreamAlarm> {
+        let monitor = self.monitors.remove(&user)?;
+        let metrics = stream_metrics();
+        metrics.sessions_ended.inc();
+        metrics.shed.inc();
+        count_alarm("shed", monitor.current_cluster());
         Some(StreamAlarm {
-            user: victim,
-            position: sess.monitor.position(),
-            minute: sess.last_minute,
+            user,
+            position: monitor.position(),
+            minute: last_minute,
             windowed_likelihood: None,
             trend: false,
             kind: StreamAlarmKind::Shed,
@@ -519,56 +741,21 @@ impl StreamMonitor<'_> {
     }
 
     /// Sheds a *specific* user's session — the targeted counterpart of the
-    /// oldest-victim eviction behind [`FaultPolicy::max_active_sessions`].
+    /// capacity victims behind [`FaultPolicy::max_active_sessions`].
     ///
-    /// The sharded daemon (`ibcm-served`) selects victims centrally so the
-    /// eviction order is independent of how sessions are partitioned across
-    /// shards, then tells the owning shard to shed by name through this
-    /// method. The returned alarm is identical to what [`shed_oldest`]
-    /// would have produced had this session been the global minimum.
+    /// The sharded daemon (`ibcm-served`) selects victims with its central
+    /// [`SessionDirectory`], then tells the owning shard to shed by name
+    /// through this method. The returned alarm is identical to the one
+    /// [`StreamMonitor::ingest`] reports for the same victim.
     ///
     /// Returns `None` when the user has no active session.
-    ///
-    /// [`shed_oldest`]: StreamMonitor::ingest
     pub fn shed_session(&mut self, user: UserId) -> Option<StreamAlarm> {
-        let sess = self.active.remove(&user)?;
-        self.end_sessions_metric(1);
-        self.counters.shed += 1;
-        stream_metrics().shed.inc();
-        stream_metrics().active_sessions.set(self.active.len() as i64);
-        count_alarm("shed", sess.monitor.current_cluster());
-        Some(StreamAlarm {
-            user,
-            position: sess.monitor.position(),
-            minute: sess.last_minute,
-            windowed_likelihood: None,
-            trend: false,
-            kind: StreamAlarmKind::Shed,
-        })
-    }
-
-    /// Forces a user's session closed (e.g. on an out-of-band signal).
-    /// Returns `true` if a session was active.
-    pub fn end_session(&mut self, user: UserId) -> bool {
-        let ended = self.active.remove(&user).is_some();
-        if ended {
-            self.end_sessions_metric(1);
-            stream_metrics().active_sessions.set(self.active.len() as i64);
-        }
-        ended
-    }
-
-    /// Drops every session whose last event is older than the timeout
-    /// relative to `now_minute`. Returns how many were closed.
-    pub fn sweep(&mut self, now_minute: u64) -> usize {
-        let timeout = self.config.session_timeout_minutes;
-        let before = self.active.len();
-        self.active
-            .retain(|_, sess| now_minute.saturating_sub(sess.last_minute) <= timeout);
-        let closed = before - self.active.len();
-        self.end_sessions_metric(closed);
-        stream_metrics().active_sessions.set(self.active.len() as i64);
-        closed
+        let last_minute = self.directory.shed(user)?;
+        let alarm = self.shed_monitor(user, last_minute);
+        stream_metrics()
+            .active_sessions
+            .set(self.monitors.len() as i64);
+        alarm
     }
 }
 
@@ -597,28 +784,28 @@ pub(crate) struct StreamSnapshot {
 }
 
 impl StreamMonitor<'_> {
-    /// Captures the monitor's full live state. Sessions are ordered by
-    /// user index so the snapshot (and therefore the checkpoint bytes) are
-    /// deterministic regardless of hash-map iteration order.
+    /// Captures the monitor's full live state, sessions in user order.
     pub(crate) fn snapshot(&self) -> StreamSnapshot {
-        let mut sessions: Vec<SessionSnapshot> = self
-            .active
-            .iter()
-            .map(|(user, sess)| SessionSnapshot {
-                user: *user,
-                last_minute: sess.last_minute,
-                last_action: sess.last_action,
-                prefix: sess.monitor.fed_actions().to_vec(),
-            })
-            .collect();
-        sessions.sort_by_key(|s| s.user.index());
+        let dir = &self.directory;
         StreamSnapshot {
-            config: self.config.clone(),
-            clock: self.clock,
-            counters: self.counters,
-            sessions_started: self.sessions_started,
-            sessions_ended: self.sessions_ended,
-            sessions,
+            config: dir.config.clone(),
+            clock: dir.clock,
+            counters: dir.counters,
+            sessions_started: dir.sessions_started,
+            sessions_ended: dir.sessions_ended,
+            sessions: dir
+                .sessions
+                .iter()
+                .map(|(&user, entry)| SessionSnapshot {
+                    user,
+                    last_minute: entry.last_minute,
+                    last_action: entry.last_action,
+                    prefix: self
+                        .monitors
+                        .get(&user)
+                        .map_or_else(Vec::new, |m| m.fed_actions().to_vec()),
+                })
+                .collect(),
         }
     }
 }
@@ -628,23 +815,25 @@ impl MisuseDetector {
     /// prefix through a fresh per-session monitor.
     pub(crate) fn stream_from_snapshot(&self, snap: StreamSnapshot) -> StreamMonitor<'_> {
         let mut sm = self.stream_monitor(snap.config);
-        sm.clock = snap.clock;
-        sm.counters = snap.counters;
-        sm.sessions_started = snap.sessions_started;
-        sm.sessions_ended = snap.sessions_ended;
+        let dir = &mut sm.directory;
+        dir.clock = snap.clock;
+        dir.counters = snap.counters;
+        dir.sessions_started = snap.sessions_started;
+        dir.sessions_ended = snap.sessions_ended;
+        let policy = dir.config.policy;
         for s in snap.sessions {
-            let mut monitor = self.monitor(sm.config.policy);
+            let mut monitor = self.monitor(policy);
             for &a in &s.prefix {
                 let _ = monitor.feed(a);
             }
-            sm.active.insert(
+            dir.sessions.insert(
                 s.user,
-                ActiveSession {
-                    monitor,
+                SessionEntry {
                     last_minute: s.last_minute,
                     last_action: s.last_action,
                 },
             );
+            sm.monitors.insert(s.user, monitor);
         }
         sm
     }
@@ -769,22 +958,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_closes_stale_sessions() {
-        let d = detector();
-        let mut sm = d.stream_monitor(StreamConfig {
-            session_timeout_minutes: 10,
-            ..StreamConfig::default()
-        });
-        sm.observe(ev(0, 0, 0));
-        sm.observe(ev(1, 0, 8));
-        assert_eq!(sm.sweep(9), 0);
-        assert_eq!(sm.sweep(15), 1); // user 0 stale
-        assert_eq!(sm.active_sessions(), 1);
-        assert!(sm.end_session(UserId(1)));
-        assert!(!sm.end_session(UserId(1)));
-    }
-
-    #[test]
     fn backwards_clock_is_clamped_and_counted() {
         let d = detector();
         let mut sm = d.stream_monitor(StreamConfig::default());
@@ -890,5 +1063,33 @@ mod tests {
         // An event for an already-active session sheds nothing.
         let out = sm.ingest(ev(1, 1, 3));
         assert!(out.shed.is_empty());
+    }
+
+    #[test]
+    fn planning_is_free_until_commit() {
+        let d = detector();
+        let mut dir = SessionDirectory::new(&d, StreamConfig::default());
+        dir.commit(&dir.plan(ev(0, 0, 10)));
+
+        // A caller that cannot deliver yet plans the same event again; only
+        // the one commit counts.
+        let late = ev(1, 1, 3);
+        let plans: Vec<Admission> = (0..5).map(|_| dir.plan(late)).collect();
+        assert!(plans.iter().all(|p| *p == plans[0]));
+        assert_eq!(plans[0].faults, vec![FaultKind::NonMonotonic]);
+        assert_eq!(dir.fault_counters(), FaultCounters::default());
+        dir.commit(&plans[0]);
+        assert_eq!(dir.fault_counters().non_monotonic, 1);
+
+        // Planning a clock-advancing event leaves the clock alone: a later
+        // event between the two minutes is still in order.
+        for _ in 0..5 {
+            let _ = dir.plan(ev(2, 0, 20));
+        }
+        assert_eq!(dir.clock, 10);
+        assert!(dir.plan(ev(2, 0, 15)).faults.is_empty());
+        dir.commit(&dir.plan(ev(2, 0, 20)));
+        assert_eq!(dir.clock, 20);
+        assert_eq!(dir.fault_counters().non_monotonic, 1);
     }
 }

@@ -106,7 +106,7 @@ pub const STREAM_SESSIONS_ENDED: MetricDef = MetricDef {
     name: "ibcm_stream_sessions_ended_total",
     kind: MetricKind::Counter,
     labels: &[],
-    help: "Sessions closed (logout, timeout, sweep, or shedding).",
+    help: "Sessions closed (logout, timeout, or shedding).",
 };
 
 /// Stream ingestion: currently active sessions.

@@ -42,8 +42,11 @@ pub struct ServedConfig {
     pub backoff_cap_ms: u64,
     /// Stream sessionization, alarm, and fault policy — identical
     /// semantics to a monolithic [`ibcm_core::StreamMonitor`] with this
-    /// config. The capacity bound (`faults.max_active_sessions`) is
-    /// enforced globally at the front door, not per shard.
+    /// config. The daemon's one [`ibcm_core::SessionDirectory`] applies
+    /// the lifecycle rules (clock, faults, timeout, the
+    /// `faults.max_active_sessions` bound, end actions) to every event
+    /// before routing; each shard's monitor takes only its alarm policy
+    /// from here.
     pub stream: StreamConfig,
 }
 

@@ -13,13 +13,14 @@
 //! across any injected crash/restart schedule**. Three mechanisms combine
 //! to make that true:
 //!
-//! 1. **Front-door admission mirror.** The two pieces of `StreamMonitor`
-//!    state that are global — the stream clock (non-monotonic clamping)
-//!    and the capacity bound (oldest-session shedding) — are enforced on
-//!    the supervisor thread *before* routing, against a mirror of the
-//!    session directory. Shards therefore only ever run session-local
-//!    logic (timeouts, duplicates, vocabulary checks, scoring), which is
-//!    partition-invariant by construction.
+//! 1. **One session directory.** Every event is planned and committed
+//!    on the supervisor thread, *before* routing, against one
+//!    [`ibcm_core::SessionDirectory`] — the type a monolithic
+//!    `StreamMonitor` decides with: the stream clock, fault
+//!    classification, timeouts, capacity victims and session ends. Shards
+//!    apply the admissions they are sent and shed the victims they are
+//!    named; they decide nothing, so no decision depends on the
+//!    partition.
 //! 2. **Global sequence numbers.** Every data command (event delivery or
 //!    targeted shed) carries the next global sequence number; the merged
 //!    stream releases alarms in sequence order once every shard has
@@ -82,5 +83,4 @@ pub use campaign::{run_campaign, CampaignReport};
 pub use config::ServedConfig;
 pub use error::ServeError;
 pub use rotation::CheckpointStore;
-pub use shard::ShardStats;
 pub use supervisor::{shard_of, Daemon, DrainReport, MergedAlarm};

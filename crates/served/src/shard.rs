@@ -2,14 +2,13 @@
 //! over its partition of the session table.
 //!
 //! The worker pops *runs* of up to [`DRAIN_BATCH`] commands from its
-//! bounded ingest queue (one lock acquisition per run), feeds its
-//! monitor, publishes alarms (tagged with their global sequence number)
-//! through shared state, and snapshots `IBCS` checkpoints on a
-//! command-count cadence — handing the rotation I/O to the shard's
-//! background writer. Stats snapshots are published once per drained run
-//! (and always at drain), not per command: nothing reads them mid-run,
-//! and the processed watermark — which *is* read mid-run — stays
-//! per-command and release-ordered after the outputs it covers. Panics —
+//! bounded ingest queue (one lock acquisition per run), applies the
+//! supervisor's admissions and sheds to its monitor, publishes alarms
+//! (tagged with their global sequence number) through shared state, and
+//! snapshots `IBCS` checkpoints on a command-count cadence — handing the
+//! rotation I/O to the shard's background writer. The processed
+//! watermark advances per command, release-ordered after the outputs it
+//! covers. Panics —
 //! including deliberate chaos kills — are caught at the [`run_worker`]
 //! `catch_unwind` boundary; the worker records its exit state and
 //! returns, leaving the restart decision to the supervisor (a producer
@@ -24,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ibcm_core::{FaultCounters, MisuseDetector, SessionEvent, StreamConfig, StreamMonitor};
+use ibcm_core::{Admission, MisuseDetector, StreamAlarm, StreamConfig, StreamMonitor};
 use ibcm_logsim::UserId;
 
 use crate::metrics::ShardMetrics;
@@ -33,9 +32,9 @@ use crate::rotation::Generation;
 use crate::supervisor::MergedAlarm;
 use crate::writer::WriterShared;
 
-/// Commands a worker pops per queue wakeup. Runs amortize the queue lock
-/// and the stats publication; a run never spans more than the queue
-/// holds, so an idle shard still processes single commands promptly.
+/// Commands a worker pops per queue wakeup. Runs amortize the queue lock;
+/// a run never spans more than the queue holds, so an idle shard still
+/// processes single commands promptly.
 pub(crate) const DRAIN_BATCH: usize = 32;
 
 /// Worker state: processing commands.
@@ -59,12 +58,14 @@ pub(crate) const CHAOS_KILL_MSG: &str = "ibcm-served: deliberate chaos kill";
 /// schedule can never perturb the data sequence.
 #[derive(Debug, Clone)]
 pub(crate) enum ShardCommand {
-    /// Feed one (already clock-clamped) event to the shard's monitor.
+    /// Apply one event's admission, planned by the supervisor's session
+    /// directory, to the shard's monitor.
     Deliver {
         /// Global sequence number.
         seq: u64,
-        /// The event; its minute has already passed the front door.
-        event: SessionEvent,
+        /// The admission, its capacity victims removed (they travel as
+        /// [`ShardCommand::Shed`]).
+        admission: Admission,
     },
     /// Shed a named session (global capacity enforcement decided the
     /// victim at the front door).
@@ -81,7 +82,7 @@ pub(crate) enum ShardCommand {
     /// number — like every control command it cannot perturb the data
     /// ordering, and it is never replayed after a crash.
     Checkpoint,
-    /// Graceful shutdown: final checkpoint, publish stats, exit.
+    /// Graceful shutdown: final checkpoint, exit.
     Drain,
 }
 
@@ -93,23 +94,6 @@ impl ShardCommand {
             ShardCommand::Kill | ShardCommand::Checkpoint | ShardCommand::Drain => None,
         }
     }
-}
-
-/// A consistent snapshot of one shard's progress, published by the worker
-/// after every drained run of commands and aggregated at drain.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// The shard's fault counters (non-monotonic stays zero: clock faults
-    /// are classified at the front door).
-    pub counters: FaultCounters,
-    /// Sessions opened on this shard.
-    pub sessions_started: usize,
-    /// Sessions closed on this shard (logout, timeout, shed).
-    pub sessions_ended: usize,
-    /// Sessions currently active on this shard.
-    pub active_sessions: usize,
-    /// Highest data sequence number processed.
-    pub processed: u64,
 }
 
 /// State shared between the supervisor and one shard worker.
@@ -129,8 +113,6 @@ pub(crate) struct ShardShared {
     pub(crate) durable_floor: AtomicU64,
     /// Alarms awaiting collection by the supervisor's merge.
     pub(crate) outputs: Mutex<Vec<MergedAlarm>>,
-    /// Latest stats snapshot.
-    pub(crate) stats: Mutex<ShardStats>,
 }
 
 impl ShardShared {
@@ -140,7 +122,6 @@ impl ShardShared {
             processed: AtomicU64::new(0),
             durable_floor: AtomicU64::new(0),
             outputs: Mutex::new(Vec::new()),
-            stats: Mutex::new(ShardStats::default()),
         }
     }
 }
@@ -158,8 +139,9 @@ pub(crate) struct WorkerPlan {
     /// Alarms for seqs at or below this were already published by a
     /// previous incarnation; re-emission is suppressed during replay.
     pub(crate) suppress_through: u64,
-    /// The shard-local stream config (capacity bound removed — the front
-    /// door owns it).
+    /// The daemon's stream config. The shard's monitor takes its alarm
+    /// policy from it and its checkpoints record it; the lifecycle rules
+    /// in it run only in the supervisor's directory.
     pub(crate) stream: StreamConfig,
     /// Checkpoint cadence in processed data commands (0 = drain-only).
     pub(crate) checkpoint_every: u64,
@@ -251,7 +233,6 @@ fn worker_loop(
             Flow::Drained => return WorkerExit::Drained,
         }
     }
-    publish_stats(&sm, ctx.last_seq, shared);
     let mut batch: Vec<ShardCommand> = Vec::with_capacity(DRAIN_BATCH);
     loop {
         batch.clear();
@@ -263,25 +244,21 @@ fn worker_loop(
                 Flow::Drained => return WorkerExit::Drained,
             }
         }
-        // One stats snapshot per drained run: stats are only read after
-        // a quiesce (drain or restart replay), so per-command publication
-        // bought nothing but a mutex round-trip on the hot path.
-        publish_stats(&sm, ctx.last_seq, shared);
     }
 }
 
 /// Processes one command against the shard's monitor.
 fn step(sm: &mut StreamMonitor<'_>, cmd: ShardCommand, ctx: &mut WorkerCtx<'_>) -> Flow {
     match cmd {
-        ShardCommand::Deliver { seq, event } => {
-            let out = sm.ingest(event);
-            publish(ctx.shared, seq, ctx.shard, out.shed, out.alarm, ctx.suppress_through);
+        ShardCommand::Deliver { seq, admission } => {
+            let alarm = sm.apply(admission).alarm;
+            publish(ctx.shared, seq, ctx.shard, alarm, ctx.suppress_through);
             finish_data(sm, seq, ctx);
             Flow::Continue
         }
         ShardCommand::Shed { seq, user } => {
             let alarm = sm.shed_session(user);
-            publish(ctx.shared, seq, ctx.shard, Vec::new(), alarm, ctx.suppress_through);
+            publish(ctx.shared, seq, ctx.shard, alarm, ctx.suppress_through);
             finish_data(sm, seq, ctx);
             Flow::Continue
         }
@@ -301,45 +278,29 @@ fn step(sm: &mut StreamMonitor<'_>, cmd: ShardCommand, ctx: &mut WorkerCtx<'_>) 
             // The drain contract is "final checkpoint durable when the
             // worker exits"; wait out the background rotation.
             ctx.writer.flush();
-            publish_stats(sm, ctx.last_seq, ctx.shared);
             Flow::Drained
         }
     }
 }
 
-/// Publishes the alarms one data command produced (shed victims first,
-/// then the scoring alarm — the same order a monolithic monitor reports
-/// them). Alarms at or below the suppression watermark were already
-/// published by a previous incarnation and are dropped.
+/// Publishes the alarm one data command produced, unless it is at or
+/// below the suppression watermark: a previous incarnation already
+/// published it.
 fn publish(
     shared: &ShardShared,
     seq: u64,
     shard: usize,
-    shed: Vec<ibcm_core::StreamAlarm>,
-    alarm: Option<ibcm_core::StreamAlarm>,
+    alarm: Option<StreamAlarm>,
     suppress_through: u64,
 ) {
+    let Some(alarm) = alarm else {
+        return;
+    };
     if seq <= suppress_through {
         return;
     }
-    if shed.is_empty() && alarm.is_none() {
-        return;
-    }
     let mut outputs = shared.outputs.lock().unwrap_or_else(|e| e.into_inner());
-    for a in shed {
-        outputs.push(MergedAlarm {
-            seq,
-            shard,
-            alarm: a,
-        });
-    }
-    if let Some(a) = alarm {
-        outputs.push(MergedAlarm {
-            seq,
-            shard,
-            alarm: a,
-        });
-    }
+    outputs.push(MergedAlarm { seq, shard, alarm });
 }
 
 /// Post-command bookkeeping: the processed watermark (release-ordered
@@ -352,18 +313,6 @@ fn finish_data(sm: &StreamMonitor<'_>, seq: u64, ctx: &mut WorkerCtx<'_>) {
         ctx.since_checkpoint = 0;
         write_checkpoint(sm, seq, ctx);
     }
-}
-
-fn publish_stats(sm: &StreamMonitor<'_>, processed: u64, shared: &ShardShared) {
-    let snapshot = ShardStats {
-        counters: sm.fault_counters(),
-        sessions_started: sm.sessions_started(),
-        sessions_ended: sm.sessions_ended(),
-        active_sessions: sm.active_sessions(),
-        processed,
-    };
-    let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-    *stats = snapshot;
 }
 
 /// Snapshots the monitor and hands the bytes to the shard's background

@@ -3,18 +3,17 @@
 //!
 //! # Why the merged stream is deterministic
 //!
-//! A monolithic [`StreamMonitor`](ibcm_core::StreamMonitor) has exactly
-//! two pieces of *global* state: the stream clock (non-monotonic
-//! clamping) and the capacity bound (oldest-session shedding). Both are
-//! enforced here, on the supervisor thread, before an event is routed:
-//! the clock against the daemon's own stream clock, the capacity bound
-//! against a mirror of the session directory that replays the monitor's
-//! session-lifecycle rules (timeout, duplicate-drop, logout) exactly.
-//! Shed victims are selected centrally — minimum `(last_minute, user
-//! index)`, the monitor's own rule — and shed *by name* on their owning
-//! shard via [`StreamMonitor::shed_session`]. What remains on the shards
-//! (duplicate and vocabulary classification, timeouts, scoring) is
-//! session-local, so partitioning cannot reorder it.
+//! The supervisor owns the daemon's one
+//! [`SessionDirectory`](ibcm_core::SessionDirectory), the same type a
+//! monolithic [`StreamMonitor`](ibcm_core::StreamMonitor) decides with.
+//! Every event is planned and committed against it on the supervisor
+//! thread: the stream clock, the fault classification, timeouts, capacity
+//! victims and session ends are decided here, once, before the event is
+//! routed. Each capacity victim is shed *by name* on its owning shard via
+//! [`StreamMonitor::shed_session`](ibcm_core::StreamMonitor::shed_session);
+//! the rest of the admission goes to the event's shard, whose monitor
+//! applies it and decides nothing. No decision depends on the partition,
+//! so the shard count cannot change one.
 //!
 //! Every data command carries the next global sequence number, assigned
 //! at the front door; the merged stream releases alarms in sequence order
@@ -33,8 +32,7 @@ use std::sync::{Arc, Once};
 use std::time::Duration;
 
 use ibcm_core::{
-    ClockPolicy, FaultAction, FaultCounters, MisuseDetector, SessionEvent, StreamAlarm,
-    StreamConfig,
+    Admission, FaultCounters, MisuseDetector, SessionDirectory, SessionEvent, StreamAlarm,
 };
 use ibcm_logsim::UserId;
 use ibcm_par::ManagedHandle;
@@ -45,8 +43,8 @@ use crate::metrics::{DaemonMetrics, ShardMetrics};
 use crate::queue::BoundedQueue;
 use crate::rotation::CheckpointStore;
 use crate::shard::{
-    run_worker, ShardCommand, ShardShared, ShardStats, WorkerPlan, CHAOS_KILL_MSG,
-    WORKER_CRASHED, WORKER_CRASHED_ON_RESTORE, WORKER_DRAINED, WORKER_RUNNING,
+    run_worker, ShardCommand, ShardShared, WorkerPlan, CHAOS_KILL_MSG, WORKER_CRASHED,
+    WORKER_CRASHED_ON_RESTORE, WORKER_DRAINED, WORKER_RUNNING,
 };
 use crate::writer::{CheckpointWriter, WriterShared};
 
@@ -70,16 +68,15 @@ pub struct DrainReport {
     /// Alarms released by the final merge (in seq order); alarms already
     /// returned by earlier [`Daemon::poll_alarms`] calls are not repeated.
     pub alarms: Vec<MergedAlarm>,
-    /// Aggregated fault counters: front-door clock faults plus every
-    /// shard's counters. Equal to a monolithic monitor's counters over
-    /// the same stream.
+    /// Fault counters of the daemon's session directory. Equal to a
+    /// monolithic monitor's counters over the same stream.
     pub counters: FaultCounters,
-    /// Events admitted through the front door (including ones dropped by
-    /// shard-side fault policy, excluding front-door clock drops).
+    /// Events admitted through the front door, including the ones the
+    /// fault policy drops (clock drops too).
     pub events: u64,
-    /// Total sessions opened across shards.
+    /// Total sessions opened, from the daemon's session directory.
     pub sessions_started: usize,
-    /// Total sessions closed across shards.
+    /// Total sessions closed, from the daemon's session directory.
     pub sessions_ended: usize,
     /// Sessions still active at drain.
     pub active_sessions: usize,
@@ -108,13 +105,6 @@ pub fn shard_of(user: UserId, shards: usize) -> usize {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
     (z % shards.max(1) as u64) as usize
-}
-
-/// The front-door mirror's record of one active session.
-#[derive(Debug, Clone, Copy)]
-struct DirEntry {
-    last_minute: u64,
-    last_action: Option<ibcm_logsim::ActionId>,
 }
 
 /// Supervisor-side handle to one shard.
@@ -204,41 +194,18 @@ impl PendingRing {
     }
 }
 
-/// What the front door decided about one event.
-struct Admission {
-    /// The event with its minute clamped to the stream clock.
-    event: SessionEvent,
-    /// Victims to shed (in eviction order) before the event is delivered.
-    victims: Vec<UserId>,
-    /// Whether the mirror should drop the user's timed-out entry.
-    timeout_remove: bool,
-    /// Whether the event opens/refreshes a directory entry (false for
-    /// events the shard-side policy will drop).
-    touch_directory: bool,
-    /// Whether the action ends the session (logout).
-    ends_session: bool,
-}
-
 /// The supervised sharded monitoring daemon. See the crate docs for the
 /// architecture and OPERATIONS.md for the runbook.
 pub struct Daemon {
     detector: Arc<MisuseDetector>,
     config: ServedConfig,
-    /// The per-shard stream config: identical semantics minus the
-    /// capacity bound, which the front door owns.
-    shard_stream: StreamConfig,
     store: Arc<CheckpointStore>,
     shards: Vec<ShardHandle>,
     metrics: DaemonMetrics,
-    /// Front-door mirror of the active-session directory.
-    directory: BTreeMap<UserId, DirEntry>,
-    /// The daemon's stream clock (maximum admitted minute).
-    clock: u64,
+    /// Where every event is planned and committed before it is routed.
+    directory: SessionDirectory,
     /// Next global data sequence number (1-based).
     next_seq: u64,
-    /// Front-door clock-fault counters.
-    front_non_monotonic: u64,
-    front_dropped: u64,
     events_admitted: u64,
     /// Collected but not yet released alarms, ring-indexed by seq.
     pending: PendingRing,
@@ -292,8 +259,7 @@ impl Daemon {
         // capacity shed plus the delivery itself); a single-slot queue
         // would make such an admission permanently backpressured.
         config.queue_capacity = config.queue_capacity.max(2);
-        let mut shard_stream = config.stream.clone();
-        shard_stream.faults.max_active_sessions = None;
+        let directory = SessionDirectory::new(&detector, config.stream.clone());
         let store = Arc::new(store);
         let metrics = DaemonMetrics::resolve();
         metrics.shards.set(config.shards as i64);
@@ -316,7 +282,7 @@ impl Daemon {
                 restore: None,
                 replay: Vec::new(),
                 suppress_through: 0,
-                stream: shard_stream.clone(),
+                stream: config.stream.clone(),
                 checkpoint_every: config.checkpoint_every,
             };
             let handle = spawn_worker(
@@ -343,15 +309,11 @@ impl Daemon {
         Ok(Daemon {
             detector,
             config,
-            shard_stream,
             store,
             shards,
             metrics,
-            directory: BTreeMap::new(),
-            clock: 0,
+            directory,
             next_seq: 1,
-            front_non_monotonic: 0,
-            front_dropped: 0,
             events_admitted: 0,
             pending: PendingRing::new(),
             released_through: 0,
@@ -409,123 +371,28 @@ impl Daemon {
         }
         self.heal_crashed()?;
 
-        // Front door 1: the stream clock (global state).
-        let mut minute = event.minute;
-        if minute < self.clock {
-            self.front_non_monotonic += 1;
-            match self.config.stream.faults.non_monotonic {
-                ClockPolicy::Clamp => minute = self.clock,
-                ClockPolicy::Drop => {
-                    self.front_dropped += 1;
-                    return Ok(());
-                }
-            }
-        } else {
-            self.clock = minute;
-        }
-        let event = SessionEvent { minute, ..event };
-
+        // Plan without changing the directory, so a failed owner or a full
+        // queue rejects the event wholesale.
+        let mut admission = self.directory.plan(event);
         let owner = self.shard_for(event.user);
         if self.shards.get(owner).is_none_or(|h| h.failed) {
             return Err(ServeError::ShardFailed { shard: owner });
         }
-
-        // Front door 2: plan the admission against the mirror (no
-        // mutation yet, so backpressure can reject wholesale).
-        let admission = self.plan_admission(event);
-
         if !blocking {
             self.check_room(&admission, owner)?;
         }
 
-        self.commit(admission, owner);
+        // Commit, then dispatch: the victims first, each shed on its own
+        // shard, then the rest of the admission to the event's shard.
+        self.directory.commit(&admission);
+        for user in admission.take_victims() {
+            let seq = self.alloc_seq();
+            self.dispatch(self.shard_for(user), ShardCommand::Shed { seq, user });
+        }
+        let seq = self.alloc_seq();
+        self.events_admitted += 1;
+        self.dispatch(owner, ShardCommand::Deliver { seq, admission });
         Ok(())
-    }
-
-    /// Replays the monitor's admission rules against the mirror,
-    /// read-only. Mirrors `StreamMonitor::ingest` order exactly:
-    /// unknown-user, unknown-action, duplicate, timeout, capacity.
-    fn plan_admission(&self, event: SessionEvent) -> Admission {
-        let faults = &self.config.stream.faults;
-        let shard_drop = {
-            let unknown_user = faults
-                .known_users
-                .is_some_and(|known| event.user.index() >= known);
-            if unknown_user && faults.unknown_users == FaultAction::Drop {
-                true
-            } else {
-                let unknown_action = event.action.index() >= self.detector.vocab_size();
-                unknown_action && faults.unknown_actions == FaultAction::Drop
-            }
-        };
-        if shard_drop {
-            // The shard will classify, count, and drop it; the session
-            // directory is untouched.
-            return Admission {
-                event,
-                victims: Vec::new(),
-                timeout_remove: false,
-                touch_directory: false,
-                ends_session: false,
-            };
-        }
-
-        let mut timeout_remove = false;
-        let mut present = false;
-        if let Some(entry) = self.directory.get(&event.user) {
-            present = true;
-            let timed_out = event.minute.saturating_sub(entry.last_minute)
-                > self.config.stream.session_timeout_minutes;
-            if !timed_out
-                && entry.last_action == Some(event.action)
-                && entry.last_minute == event.minute
-                && faults.duplicates == FaultAction::Drop
-            {
-                // Duplicate-drop: the shard counts and drops it; the
-                // session (and the directory) stay as they were.
-                return Admission {
-                    event,
-                    victims: Vec::new(),
-                    timeout_remove: false,
-                    touch_directory: false,
-                    ends_session: false,
-                };
-            }
-            if timed_out {
-                timeout_remove = true;
-            }
-        }
-
-        // Capacity (global state): a new session beyond the bound sheds
-        // the oldest sessions — minimum (last_minute, user index), the
-        // monitor's own victim rule.
-        let mut victims = Vec::new();
-        let opens_new = !present || timeout_remove;
-        if opens_new {
-            if let Some(cap) = faults.max_active_sessions {
-                let cap = cap.max(1);
-                let len_after = self.directory.len() - usize::from(timeout_remove);
-                if len_after >= cap {
-                    let need = len_after + 1 - cap;
-                    let mut candidates: Vec<(u64, usize, UserId)> = self
-                        .directory
-                        .iter()
-                        .filter(|(user, _)| !(timeout_remove && **user == event.user))
-                        .map(|(user, e)| (e.last_minute, user.index(), *user))
-                        .collect();
-                    candidates.sort_unstable();
-                    victims.extend(candidates.iter().take(need).map(|(_, _, user)| *user));
-                }
-            }
-        }
-
-        Admission {
-            event,
-            victims,
-            timeout_remove,
-            touch_directory: true,
-            ends_session: self.config.stream.end_actions.contains(&event.action),
-        }
     }
 
     /// Backpressure pre-check for `try_ingest`: every queue the admission
@@ -533,8 +400,8 @@ impl Daemon {
     /// the check cannot be invalidated before the pushes below.
     fn check_room(&self, admission: &Admission, owner: usize) -> Result<(), ServeError> {
         let mut demand: BTreeMap<usize, usize> = BTreeMap::new();
-        for victim in &admission.victims {
-            *demand.entry(self.shard_for(*victim)).or_insert(0) += 1;
+        for victim in admission.victims() {
+            *demand.entry(self.shard_for(victim)).or_insert(0) += 1;
         }
         *demand.entry(owner).or_insert(0) += 1;
         for (shard, need) in demand {
@@ -551,43 +418,6 @@ impl Daemon {
             }
         }
         Ok(())
-    }
-
-    /// Applies an admission: mutates the mirror, assigns sequence
-    /// numbers, and dispatches the commands.
-    fn commit(&mut self, admission: Admission, owner: usize) {
-        let Admission {
-            event,
-            victims,
-            timeout_remove,
-            touch_directory,
-            ends_session,
-        } = admission;
-
-        if timeout_remove {
-            self.directory.remove(&event.user);
-        }
-        for victim in victims {
-            self.directory.remove(&victim);
-            let seq = self.alloc_seq();
-            let shard = self.shard_for(victim);
-            self.dispatch(shard, ShardCommand::Shed { seq, user: victim });
-        }
-        if touch_directory {
-            self.directory.insert(
-                event.user,
-                DirEntry {
-                    last_minute: event.minute,
-                    last_action: Some(event.action),
-                },
-            );
-            if ends_session {
-                self.directory.remove(&event.user);
-            }
-        }
-        let seq = self.alloc_seq();
-        self.events_admitted += 1;
-        self.dispatch(owner, ShardCommand::Deliver { seq, event });
     }
 
     fn alloc_seq(&mut self) -> u64 {
@@ -684,8 +514,8 @@ impl Daemon {
         self.drained
     }
 
-    /// Events admitted through the front door so far (excluding
-    /// front-door clock drops).
+    /// Events admitted through the front door so far, including the ones
+    /// the fault policy drops.
     pub fn events_admitted(&self) -> u64 {
         self.events_admitted
     }
@@ -756,7 +586,7 @@ impl Daemon {
     fn restart_shard(&mut self, shard: usize) -> Result<(), ServeError> {
         let detector = Arc::clone(&self.detector);
         let store = Arc::clone(&self.store);
-        let stream = self.shard_stream.clone();
+        let stream = self.config.stream.clone();
         let checkpoint_every = self.config.checkpoint_every;
         let max_restarts = self.config.max_restarts;
         let base_ms = self.config.backoff_base_ms;
@@ -924,8 +754,8 @@ impl Daemon {
 
     /// Graceful drain: quiesce every shard (restarting crashed ones so
     /// their replay completes), take final checkpoints, close the merged
-    /// stream, and aggregate counters. The daemon accepts no events
-    /// afterwards.
+    /// stream, and report the directory's counters. The daemon accepts no
+    /// events afterwards.
     ///
     /// # Errors
     ///
@@ -983,43 +813,21 @@ impl Daemon {
         }
 
         let alarms = self.release(true);
-        let mut counters = FaultCounters {
-            non_monotonic: self.front_non_monotonic,
-            dropped: self.front_dropped,
-            ..FaultCounters::default()
-        };
-        let mut sessions_started = 0;
-        let mut sessions_ended = 0;
-        let mut active_sessions = 0;
-        let mut failed_shards = Vec::new();
-        for (i, h) in self.shards.iter().enumerate() {
-            if h.failed {
-                failed_shards.push(i);
-            }
-            let stats: ShardStats = {
-                let guard = h.shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                guard.clone()
-            };
-            counters = add_counters(counters, stats.counters);
-            sessions_started += stats.sessions_started;
-            sessions_ended += stats.sessions_ended;
-            active_sessions += stats.active_sessions;
-        }
         let drain_seconds = stopwatch.elapsed_seconds();
         self.metrics.drain_seconds.observe(drain_seconds);
         let [restores_newest, restores_fallback, restores_fresh] = self.restore_outcomes;
         Ok(DrainReport {
             alarms,
-            counters,
+            counters: self.directory.fault_counters(),
             events: self.events_admitted,
-            sessions_started,
-            sessions_ended,
-            active_sessions,
+            sessions_started: self.directory.sessions_started(),
+            sessions_ended: self.directory.sessions_ended(),
+            active_sessions: self.directory.active_sessions(),
             restarts: self.total_restarts,
             restores_newest,
             restores_fallback,
             restores_fresh,
-            failed_shards,
+            failed_shards: self.failed_shards(),
             drain_seconds,
         })
     }
@@ -1036,17 +844,6 @@ impl Drop for Daemon {
         for h in &mut self.shards {
             let _ = h.queue.try_push(ShardCommand::Drain, &h.shared.state);
         }
-    }
-}
-
-fn add_counters(a: FaultCounters, b: FaultCounters) -> FaultCounters {
-    FaultCounters {
-        non_monotonic: a.non_monotonic + b.non_monotonic,
-        duplicate: a.duplicate + b.duplicate,
-        unknown_action: a.unknown_action + b.unknown_action,
-        unknown_user: a.unknown_user + b.unknown_user,
-        dropped: a.dropped + b.dropped,
-        shed: a.shed + b.shed,
     }
 }
 

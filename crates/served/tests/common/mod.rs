@@ -3,13 +3,16 @@
 //! deterministic scoring, not accuracy), plus the monolithic reference
 //! that every sharded run must reproduce byte-for-byte.
 
-// Shared between the shard_invariance and daemon_chaos binaries; not
-// every binary reads every field.
+// Shared between the daemon test binaries; not every binary reads every
+// field.
 #![allow(dead_code)]
 
 use std::sync::{Arc, OnceLock};
 
-use ibcm_core::chaos::event_stream;
+use ibcm_core::chaos::{
+    event_stream, inject_duplicates, inject_out_of_order, inject_unknown_actions,
+    inject_unknown_users,
+};
 use ibcm_core::{
     AlarmPolicy, FaultCounters, FaultPolicy, MisuseDetector, SessionEvent, StreamConfig,
 };
@@ -68,6 +71,18 @@ pub fn fixture() -> &'static Fixture {
     })
 }
 
+/// The fixture stream with every fault class injected: backwards clocks,
+/// duplicates, unknown actions and unknown users.
+pub fn faulty_events() -> Vec<SessionEvent> {
+    let fix = fixture();
+    let mut events = fix.events.clone();
+    inject_out_of_order(&mut events, 200, 9);
+    inject_duplicates(&mut events, 25, 2);
+    inject_unknown_actions(&mut events, 15, fix.detector.vocab_size(), 3);
+    inject_unknown_users(&mut events, 15, fix.dataset.n_users(), 4);
+    events
+}
+
 /// An alarm policy loose enough that the weakly trained model alarms
 /// often — byte-identity comparisons need a non-trivial stream.
 pub fn chatty_policy() -> AlarmPolicy {
@@ -102,10 +117,7 @@ pub struct Reference {
 }
 
 /// Runs a single `StreamMonitor` over `events` and renders the alarm
-/// stream in the daemon's canonical log format. Valid only for configs
-/// with `ClockPolicy::Clamp` (the default): under `Drop` the daemon
-/// assigns no sequence number to clock-dropped events, which this
-/// reconstruction does not model.
+/// stream in the daemon's canonical log format.
 pub fn monolith_reference(
     detector: &MisuseDetector,
     config: StreamConfig,

@@ -1,16 +1,18 @@
 //! The headline invariant, crash-free half: the daemon's merged alarm
 //! stream is byte-identical at every shard count, and identical to a
 //! monolithic `StreamMonitor` over the same events — including under
-//! capacity shedding, fault injection, session-ending actions, and
-//! backpressure retries.
+//! capacity shedding, fault injection, backwards clocks under either
+//! clock policy, session-ending actions, and backpressure retries.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{fixture, monolith_reference, stream_config};
-use ibcm_core::chaos::{inject_duplicates, inject_unknown_actions, inject_unknown_users};
-use ibcm_core::{FaultAction, FaultPolicy, SessionEvent, StreamConfig};
+use common::{faulty_events, fixture, monolith_reference, stream_config};
+use ibcm_core::chaos::{
+    inject_duplicates, inject_out_of_order, inject_unknown_actions, inject_unknown_users,
+};
+use ibcm_core::{ClockPolicy, FaultAction, FaultPolicy, SessionEvent, StreamConfig};
 use ibcm_served::{CheckpointStore, Daemon, ServeError, ServedConfig};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -120,15 +122,93 @@ fn fault_injection_is_partition_invariant() {
     });
     assert_invariant(dropping, &events);
 
-    // Permissive policy: the same faults are counted but processed.
-    // Unknown actions must be dropped (a monitor cannot score an action
-    // outside its vocabulary), but unknown users flow through.
+    // Permissive policy: duplicates and unknown users are counted but
+    // processed; unknown actions are dropped here (processing them is
+    // covered by `clock_and_fault_policies_are_partition_invariant`).
     let permissive = stream_config(FaultPolicy {
         unknown_actions: FaultAction::Drop,
         known_users: Some(users),
         ..FaultPolicy::default()
     });
     assert_invariant(permissive, &events);
+}
+
+#[test]
+fn clock_and_fault_policies_are_partition_invariant() {
+    let users = fixture().dataset.n_users();
+    let events = faulty_events();
+
+    // Every fault counted and processed; backwards clocks clamped.
+    let processing = stream_config(FaultPolicy {
+        known_users: Some(users),
+        ..FaultPolicy::default()
+    });
+    assert_invariant(processing, &events);
+
+    // Backwards clocks and every other fault dropped, under a cap.
+    let dropping = stream_config(FaultPolicy {
+        non_monotonic: ClockPolicy::Drop,
+        known_users: Some(users),
+        max_active_sessions: Some(6),
+        ..FaultPolicy::strict()
+    });
+    assert_invariant(dropping, &events);
+}
+
+/// Drives a one-shard daemon with the smallest queue over `events`,
+/// retrying every event `try_ingest` rejects with `Backpressure` until it
+/// is accepted, and returns the canonical merged log plus the drain
+/// report.
+fn retry_until_accepted(
+    config: StreamConfig,
+    events: &[SessionEvent],
+) -> (Vec<String>, ibcm_served::DrainReport) {
+    let fix = fixture();
+    let cfg = ServedConfig::new(config)
+        .with_shards(1)
+        .with_queue_capacity(1)
+        .with_rotation(32, 3);
+    let mut daemon =
+        Daemon::new(Arc::clone(&fix.detector), cfg, CheckpointStore::memory()).unwrap();
+    let mut log = Vec::new();
+    for event in events {
+        loop {
+            match daemon.try_ingest(*event) {
+                Ok(()) => break,
+                Err(ServeError::Backpressure { .. }) => {
+                    for m in daemon.poll_alarms() {
+                        log.push(format!("{:06} {:?}", m.seq, m.alarm));
+                    }
+                }
+                Err(e) => panic!("unexpected ingest error: {e}"),
+            }
+        }
+    }
+    let report = daemon.drain().unwrap();
+    for m in &report.alarms {
+        log.push(format!("{:06} {:?}", m.seq, m.alarm));
+    }
+    (log, report)
+}
+
+#[test]
+fn rejected_backwards_events_are_counted_once() {
+    let fix = fixture();
+    let mut events = fix.events.clone();
+    inject_out_of_order(&mut events, 200, 9);
+    let config = stream_config(FaultPolicy {
+        max_active_sessions: Some(6),
+        ..FaultPolicy::default()
+    });
+    let reference = monolith_reference(&fix.detector, config.clone(), &events);
+    assert!(reference.counters.non_monotonic > 0);
+
+    // A rejected event must leave the directory untouched: neither its
+    // clock fault nor a clock it would advance may count before the retry
+    // that is accepted.
+    let (log, report) = retry_until_accepted(config, &events);
+    assert_eq!(log, reference.log);
+    assert_eq!(report.counters, reference.counters);
 }
 
 #[test]

@@ -47,11 +47,11 @@
 #![warn(missing_docs)]
 
 pub use ibcm_core::{
-    chaos, experiments, par, AlarmPolicy, ClockPolicy, ClusterData, CoreError, DriftConfig,
-    DriftDetector, DriftStatus, FaultAction, FaultCounters, FaultKind, FaultPolicy, LoadReport,
-    MisuseDetector, MonitorEvent, ObserveOutcome, OnlineMonitor, Pipeline, PipelineConfig,
-    SessionEvent, SessionVerdict, SharedMonitor, StreamAlarm, StreamAlarmKind, StreamConfig,
-    StreamMonitor, TrainedPipeline, WeightedVerdict,
+    chaos, experiments, par, Admission, AlarmPolicy, ClockPolicy, ClusterData, CoreError,
+    DriftConfig, DriftDetector, DriftStatus, FaultAction, FaultCounters, FaultKind, FaultPolicy,
+    LoadReport, MisuseDetector, MonitorEvent, ObserveOutcome, OnlineMonitor, Pipeline,
+    PipelineConfig, SessionDirectory, SessionEvent, SessionVerdict, StreamAlarm, StreamAlarmKind,
+    StreamConfig, StreamMonitor, TrainedPipeline, WeightedVerdict,
 };
 /// The observability layer: structured tracing spans, pluggable trace sinks
 /// and the process-wide metrics registry (re-export of `ibcm-obs`; see
