@@ -701,6 +701,29 @@ mod tests {
     }
 
     #[test]
+    fn legacy_file_with_inconsistent_router_is_rejected() {
+        // A version-1 file is the version-2 payload without the fallback
+        // flag and without the checksummed envelope, so nothing upstream of
+        // the router decoder catches a corrupt router byte.
+        let bytes = detector().to_bytes();
+        let payload = &bytes[16..bytes.len() - 8];
+        assert_eq!(payload.last(), Some(&0), "no fallback model");
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&payload[..payload.len() - 1]);
+        assert!(MisuseDetector::from_bytes(&v1).is_ok());
+        // Payload layout: lock_in u32, router length u64, then the router,
+        // whose first byte is the low byte of the featurizer's vocabulary.
+        let vocab_byte = 8 + 4 + 8;
+        assert_eq!(v1[vocab_byte], 4);
+        v1[vocab_byte] = 5;
+        assert!(matches!(
+            MisuseDetector::from_bytes(&v1),
+            Err(CoreError::Persist(_))
+        ));
+    }
+
+    #[test]
     fn zero_copy_load_round_trips_bytes() {
         let d = detector().with_fallback(fallback_lm());
         let bytes = d.to_bytes();

@@ -139,7 +139,8 @@ impl ClusterRouter {
     ///
     /// # Errors
     ///
-    /// Returns [`OcSvmError::InvalidConfig`] on malformed bytes.
+    /// Returns [`OcSvmError::InvalidConfig`] on malformed bytes, including
+    /// an SVM whose dimension disagrees with the featurizer's.
     pub fn from_bytes(data: &[u8]) -> Result<Self, OcSvmError> {
         let mut buf = Bytes::copy_from_slice(data);
         if buf.remaining() < 9 {
@@ -147,18 +148,26 @@ impl ClusterRouter {
         }
         let vocab = buf.get_u32_le() as usize;
         let include_length = buf.get_u8() != 0;
+        let featurizer = SessionFeaturizer::new(vocab, include_length);
         let n = buf.get_u32_le() as usize;
-        let mut svms = Vec::with_capacity(n);
-        for _ in 0..n {
-            svms.push(OcSvm::read_bytes(&mut buf)?);
+        // The count is untrusted: the vector grows only with SVMs that
+        // actually decode, and a short buffer ends the loop with an error.
+        let mut svms = Vec::new();
+        for i in 0..n {
+            let svm = OcSvm::read_bytes(&mut buf)?;
+            if svm.dim() != featurizer.dim() {
+                return Err(OcSvmError::InvalidConfig(format!(
+                    "SVM {i} has dimension {}, the featurizer {}",
+                    svm.dim(),
+                    featurizer.dim()
+                )));
+            }
+            svms.push(svm);
         }
         if svms.is_empty() {
             return Err(OcSvmError::InvalidConfig("router has no clusters".into()));
         }
-        Ok(ClusterRouter::new(
-            svms,
-            SessionFeaturizer::new(vocab, include_length),
-        ))
+        Ok(ClusterRouter::new(svms, featurizer))
     }
 }
 
@@ -197,6 +206,43 @@ mod tests {
         let acts = [ActionId(0), ActionId(1), ActionId(2)];
         assert_eq!(router.scores(&acts), back.scores(&acts));
         assert_eq!(back.n_clusters(), 2);
+    }
+
+    /// A two-cluster router over a 4-action vocabulary with the length
+    /// feature, and its bytes: vocab at `[0..4]`, the length flag at `[4]`,
+    /// the cluster count at `[5..9]`.
+    fn vocab4_router_bytes() -> Vec<u8> {
+        let featurizer = SessionFeaturizer::new(4, true);
+        let feats: Vec<Vec<f64>> = (0..12)
+            .map(|i| featurizer.features(&[ActionId(i % 4), ActionId(1)]))
+            .collect();
+        let svm = OcSvm::train(&feats, &OcSvmConfig::default()).unwrap();
+        let bytes = ClusterRouter::new(vec![svm.clone(), svm], featurizer).to_bytes();
+        assert!(ClusterRouter::from_bytes(&bytes).is_ok());
+        bytes
+    }
+
+    #[test]
+    fn vocab_disagreeing_with_svm_dim_is_an_error() {
+        let mut bytes = vocab4_router_bytes();
+        assert_eq!(bytes[0], 4);
+        bytes[0] = 5;
+        assert!(ClusterRouter::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn length_flag_disagreeing_with_svm_dim_is_an_error() {
+        let mut bytes = vocab4_router_bytes();
+        assert_eq!(bytes[4], 1);
+        bytes[4] = 0;
+        assert!(ClusterRouter::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn huge_cluster_count_is_an_error() {
+        let mut bytes = vocab4_router_bytes();
+        bytes[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ClusterRouter::from_bytes(&bytes).is_err());
     }
 
     #[test]

@@ -4,6 +4,7 @@ use ibcm_logsim::{ActionId, ClusterId};
 use serde::{Deserialize, Serialize};
 
 use crate::features::SessionFeaturizer;
+use crate::kernel::nonzeros;
 use crate::svm::OcSvm;
 
 /// How a session was routed to a cluster.
@@ -77,9 +78,18 @@ impl ClusterRouter {
 
     /// Per-cluster OC-SVM decision scores for an action sequence (or
     /// prefix).
+    ///
+    /// The features' non-zero entries are listed once per call and shared
+    /// by every cluster's SVM, so an RBF kernel value costs the union of
+    /// two bags' non-zeros (a handful of actions) rather than the whole
+    /// vocabulary. Each score has the same bits as [`OcSvm::decision`].
     pub fn scores(&self, actions: &[ActionId]) -> Vec<f64> {
         let x = self.featurizer.features(actions);
-        self.svms.iter().map(|s| s.decision(&x)).collect()
+        let nz = nonzeros(&x);
+        self.svms
+            .iter()
+            .map(|s| s.decision_with_nonzeros(&x, &nz))
+            .collect()
     }
 
     /// Routes a full session to the highest-scoring cluster.

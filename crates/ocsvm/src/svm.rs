@@ -3,7 +3,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::OcSvmError;
-use crate::kernel::Kernel;
+use crate::kernel::{nonzeros, Kernel};
 
 /// Hyperparameters of the ν-one-class SVM.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -42,6 +42,9 @@ impl Default for OcSvmConfig {
 pub struct OcSvm {
     config: OcSvmConfig,
     support_vectors: Vec<Vec<f64>>,
+    /// The non-zero entries of each support vector, index-sorted; built by
+    /// [`OcSvm::from_parts`] and never mutated.
+    sparse_support: Vec<Vec<(usize, f64)>>,
     alphas: Vec<f64>,
     rho: f64,
     dim: usize,
@@ -79,19 +82,17 @@ impl OcSvm {
         // Feasible start: alpha_i = 1/l (satisfies both constraints since
         // 1/l <= 1/(nu*l) for nu <= 1).
         let mut alphas = vec![1.0 / l as f64; l];
-        let kernel = config.kernel;
+        let sparse: Vec<Vec<(usize, f64)>> = data.iter().map(|x| nonzeros(x)).collect();
+        let k = |i: usize, j: usize| -> f64 {
+            config
+                .kernel
+                .eval_with_nonzeros((&data[i], &sparse[i]), (&data[j], &sparse[j]))
+        };
 
         // Output cache f_i = sum_j alpha_j K(x_i, x_j).
-        let krow = |i: usize| -> Vec<f64> {
-            (0..l).map(|j| kernel.eval(&data[i], &data[j])).collect()
-        };
+        let krow = |i: usize| -> Vec<f64> { (0..l).map(|j| k(i, j)).collect() };
         let mut f: Vec<f64> = (0..l)
-            .map(|i| {
-                data.iter()
-                    .zip(alphas.iter())
-                    .map(|(xj, &aj)| aj * kernel.eval(&data[i], xj))
-                    .sum()
-            })
+            .map(|i| alphas.iter().enumerate().map(|(j, &aj)| aj * k(i, j)).sum())
             .collect();
 
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -113,9 +114,9 @@ impl OcSvm {
                 if i == j {
                     continue;
                 }
-                let kii = kernel.eval(&data[i], &data[i]);
-                let kjj = kernel.eval(&data[j], &data[j]);
-                let kij = kernel.eval(&data[i], &data[j]);
+                let kii = k(i, i);
+                let kjj = k(j, j);
+                let kij = k(i, j);
                 let eta = kii + kjj - 2.0 * kij;
                 if eta <= 1e-12 {
                     continue;
@@ -167,28 +168,35 @@ impl OcSvm {
                 sv_alphas.push(alphas[i]);
             }
         }
-        Ok(OcSvm {
-            config: *config,
-            support_vectors,
-            alphas: sv_alphas,
-            rho,
-            dim,
-        })
+        Ok(OcSvm::from_parts(*config, support_vectors, sv_alphas, rho, dim))
     }
 
     /// Decision score `f(x)`: positive inside the learned region, negative
     /// outside; larger means more typical of the training cluster.
+    ///
+    /// With the RBF kernel each kernel value sums over the sorted union of
+    /// `x`'s and the support vector's non-zero indices, which costs the
+    /// union's size rather than `dim` and gives the same bits as the dense
+    /// [`Kernel::eval`]. The linear kernel stays dense.
     ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong dimension.
     pub fn decision(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim, "feature dimension mismatch");
-        let k = self.config.kernel;
+        self.decision_with_nonzeros(x, &nonzeros(x))
+    }
+
+    /// [`OcSvm::decision`] for a caller that already holds `nz`, the
+    /// index-sorted non-zero entries of `x` (see [`nonzeros`]).
+    pub(crate) fn decision_with_nonzeros(&self, x: &[f64], nz: &[(usize, f64)]) -> f64 {
         self.support_vectors
             .iter()
-            .zip(self.alphas.iter())
-            .map(|(sv, &a)| a * k.eval(sv, x))
+            .zip(&self.sparse_support)
+            .zip(&self.alphas)
+            .map(|((sv, sv_nz), &a)| {
+                a * self.config.kernel.eval_with_nonzeros((sv, sv_nz), (x, nz))
+            })
             .sum::<f64>()
             - self.rho
     }
@@ -242,9 +250,11 @@ impl OcSvm {
             alphas.len(),
             "one alpha per support vector"
         );
+        let sparse_support = support_vectors.iter().map(|sv| nonzeros(sv)).collect();
         OcSvm {
             config,
             support_vectors,
+            sparse_support,
             alphas,
             rho,
             dim,
@@ -350,6 +360,39 @@ mod tests {
     fn single_point_training_works() {
         let svm = OcSvm::train(&[vec![1.0, 1.0]], &OcSvmConfig::default()).unwrap();
         assert!(svm.decision(&[1.0, 1.0]) >= svm.decision(&[0.0, 5.0]));
+    }
+
+    /// The trainer's kernel values are `eval_with_nonzeros` on each row's
+    /// non-zeros; on featurized sessions every pair must carry the bits of
+    /// the dense `Kernel::eval`, so alphas and rho are those of a dense
+    /// trainer.
+    #[test]
+    fn training_kernel_values_match_dense_kernel_on_session_bags() {
+        use crate::features::SessionFeaturizer;
+        use ibcm_logsim::ActionId;
+        let featurizer = SessionFeaturizer::new(40, true);
+        let mut rng = StdRng::seed_from_u64(6);
+        let data: Vec<Vec<f64>> = (0..80)
+            .map(|_| {
+                let len = rng.gen_range(1..20);
+                // 42 and 43 are out of vocabulary: they count toward the
+                // length only.
+                let actions: Vec<ActionId> =
+                    (0..len).map(|_| ActionId(rng.gen_range(0..44))).collect();
+                featurizer.features(&actions)
+            })
+            .collect();
+        let sparse: Vec<Vec<(usize, f64)>> = data.iter().map(|x| nonzeros(x)).collect();
+        for kernel in [OcSvmConfig::default().kernel, Kernel::Rbf { gamma: 0.05 }] {
+            for (x, xn) in data.iter().zip(&sparse) {
+                for (y, yn) in data.iter().zip(&sparse) {
+                    assert_eq!(
+                        kernel.eval_with_nonzeros((x, xn), (y, yn)).to_bits(),
+                        kernel.eval(x, y).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

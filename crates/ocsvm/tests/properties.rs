@@ -1,7 +1,7 @@
 //! Property-based tests for the one-class SVM and featurizer.
 
 use ibcm_logsim::ActionId;
-use ibcm_ocsvm::{Kernel, OcSvm, OcSvmConfig, SessionFeaturizer};
+use ibcm_ocsvm::{ClusterRouter, Kernel, OcSvm, OcSvmConfig, SessionFeaturizer};
 use proptest::prelude::*;
 
 fn blob(n: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -73,6 +73,86 @@ proptest! {
         let after = f.features(&b);
         for (x, y) in before.iter().zip(after.iter()) {
             prop_assert!((x - y).abs() < 1e-12);
+        }
+    }
+}
+
+/// A mostly-zero entry: `+0.0` or `-0.0` four times in five.
+fn sparse_entry() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(0.0), Just(0.0), Just(-0.0), -1.0f64..1.0]
+}
+
+/// The decision function written out from `parts()` with the dense
+/// `Kernel::eval`: the reference the production decision must match bit
+/// for bit.
+fn dense_decision(svm: &OcSvm, x: &[f64]) -> f64 {
+    let (config, svs, alphas, rho, _) = svm.parts();
+    svs.iter()
+        .zip(alphas)
+        .map(|(sv, &a)| a * config.kernel.eval(sv, x))
+        .sum::<f64>()
+        - rho
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On mostly-zero training sets and queries, the decision equals the
+    /// dense reference bit for bit.
+    #[test]
+    fn decision_matches_dense_reference(
+        data in prop::collection::vec(prop::collection::vec(sparse_entry(), 12), 6..20),
+        queries in prop::collection::vec(prop::collection::vec(sparse_entry(), 12), 1..12),
+        gamma in 0.05f64..5.0,
+    ) {
+        let cfg = OcSvmConfig {
+            kernel: Kernel::Rbf { gamma },
+            max_sweeps: 15,
+            ..OcSvmConfig::default()
+        };
+        let svm = OcSvm::train(&data, &cfg).unwrap();
+        for x in queries.iter().chain(&data) {
+            prop_assert_eq!(svm.decision(x).to_bits(), dense_decision(&svm, x).to_bits());
+        }
+    }
+
+    /// The router's per-cluster scores on featurized prefixes equal the
+    /// dense reference of each cluster's SVM, bit for bit.
+    #[test]
+    fn router_scores_match_dense_reference(
+        clusters in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(0usize..20, 1..15), 4..10),
+            1..4,
+        ),
+        session in prop::collection::vec(0usize..22, 1..20),
+        include_length in any::<bool>(),
+    ) {
+        let featurizer = SessionFeaturizer::new(20, include_length);
+        let cfg = OcSvmConfig { max_sweeps: 15, ..OcSvmConfig::default() };
+        let svms: Vec<OcSvm> = clusters
+            .iter()
+            .map(|sessions| {
+                let feats: Vec<Vec<f64>> = sessions
+                    .iter()
+                    .map(|s| {
+                        let actions: Vec<ActionId> = s.iter().map(|&a| ActionId(a)).collect();
+                        featurizer.features(&actions)
+                    })
+                    .collect();
+                OcSvm::train(&feats, &cfg).unwrap()
+            })
+            .collect();
+        let router = ClusterRouter::new(svms, featurizer);
+        // Actions 20 and 21 are out of vocabulary.
+        let actions: Vec<ActionId> = session.iter().map(|&a| ActionId(a)).collect();
+        for end in 0..=actions.len() {
+            let prefix = &actions[..end];
+            let x = featurizer.features(prefix);
+            let scores = router.scores(prefix);
+            prop_assert_eq!(scores.len(), router.n_clusters());
+            for (score, svm) in scores.iter().zip(router.svms()) {
+                prop_assert_eq!(score.to_bits(), dense_decision(svm, &x).to_bits());
+            }
         }
     }
 }
