@@ -22,8 +22,12 @@ pub struct HttpConfig {
     /// Merged alarms buffered for `GET /v1/alarms` paging before the
     /// oldest are discarded (discards are reported as `dropped`).
     pub alarm_buffer: usize,
-    /// Per-connection socket read timeout in milliseconds; an idle
-    /// keep-alive connection is closed when it trips.
+    /// Read timeout in milliseconds. It bounds each socket read, so an
+    /// idle keep-alive connection is closed when it trips, and each whole
+    /// request (head and body), counted from its first byte, so a client
+    /// that trickles bytes cannot hold a connection slot. Either way the
+    /// connection closes without a response. Slow links that send large
+    /// bodies need a larger value.
     pub read_timeout_ms: u64,
 }
 
@@ -78,7 +82,8 @@ impl HttpConfig {
         self
     }
 
-    /// Sets the per-connection read timeout (minimum 10 ms).
+    /// Sets the read timeout, which bounds each socket read and each whole
+    /// request (minimum 10 ms; see [`HttpConfig::read_timeout_ms`]).
     pub fn with_read_timeout_ms(mut self, ms: u64) -> Self {
         self.read_timeout_ms = ms.max(10);
         self

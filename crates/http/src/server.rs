@@ -10,7 +10,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -147,19 +147,23 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         max_head_bytes: shared.config.max_head_bytes,
         max_body_bytes: shared.config.max_body_bytes,
     };
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(shared.config.read_timeout_ms)));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(RequestReader {
+        stream,
+        timeout: Duration::from_millis(shared.config.read_timeout_ms),
+        request: None,
+    });
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
+        reader.get_mut().request = None;
         let request = match read_request(&mut reader, &limits) {
             Ok(request) => request,
-            // Clean close or idle timeout: nothing to answer.
+            // Clean close, idle or request timeout: nothing to answer.
             Err(WireError::Closed) | Err(WireError::Timeout) | Err(WireError::Io(_)) => return,
             Err(e) => {
                 let api = match e {
@@ -191,6 +195,40 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         if close || !ok {
             return;
         }
+    }
+}
+
+/// The socket under a connection's `BufReader`. The read timeout bounds
+/// every read and, once a request's first byte has been read, the whole
+/// request: each later read may wait only for what is left of that budget,
+/// so a client trickling bytes cannot hold a connection slot past it.
+/// The clock decides only when to give up on an incomplete request; it
+/// never touches a response byte.
+struct RequestReader {
+    stream: TcpStream,
+    timeout: Duration,
+    /// Started at the current request's first byte; `None` while idle.
+    request: Option<Stopwatch>,
+}
+
+impl Read for RequestReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let wait = match &self.request {
+            None => self.timeout,
+            Some(clock) => {
+                let left = self.timeout.as_secs_f64() - clock.elapsed_seconds();
+                match Duration::try_from_secs_f64(left) {
+                    Ok(left) if !left.is_zero() => left,
+                    _ => return Err(ErrorKind::TimedOut.into()),
+                }
+            }
+        };
+        self.stream.set_read_timeout(Some(wait))?;
+        let n = self.stream.read(buf)?;
+        if n > 0 && self.request.is_none() {
+            self.request = Some(Stopwatch::start());
+        }
+        Ok(n)
     }
 }
 

@@ -65,7 +65,8 @@ impl Request {
 pub enum WireError {
     /// The peer closed the connection before sending a request.
     Closed,
-    /// The socket read timed out mid-request.
+    /// A read timed out: an idle connection, a stalled read, or a request
+    /// past its deadline.
     Timeout,
     /// Malformed request line, header, or framing → `400`.
     BadRequest(&'static str),
@@ -92,9 +93,16 @@ fn map_io(e: std::io::Error, read_any: bool) -> WireError {
 /// Reads one request from `stream`.
 ///
 /// Blocks until a full head (terminated by `\r\n\r\n`) and, when
-/// `Content-Length` is present, a full body have arrived — or a limit or
-/// the socket's read timeout trips. A clean EOF before the first byte is
+/// `Content-Length` is present, a full body have arrived — or a limit
+/// trips, or `stream` times out ([`WireError::Timeout`]). The server's
+/// stream times out both a stalled read and a request still incomplete
+/// [`HttpConfig::read_timeout_ms`](crate::HttpConfig::read_timeout_ms)
+/// after its first byte. A clean EOF before the first byte is
 /// [`WireError::Closed`] (the keep-alive loop's normal exit).
+///
+/// `Content-Length` is strict: a second `Content-Length` header, or a
+/// value that is not all ASCII digits, is [`WireError::BadRequest`], so an
+/// ambiguous body length can never smuggle a second request.
 pub fn read_request<R: Read>(stream: &mut R, limits: &Limits) -> Result<Request, WireError> {
     let mut head: Vec<u8> = Vec::with_capacity(256);
     let mut byte = [0u8; 1];
@@ -175,12 +183,18 @@ pub fn read_request<R: Read>(stream: &mut R, limits: &Limits) -> Result<Request,
         _ => http10,
     };
 
-    let content_length = match find("content-length") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| WireError::BadRequest("malformed content-length"))?,
-        ),
-        None => None,
+    // RFC 9112 §6.3. The digit check matters: `usize::from_str` takes `+33`.
+    let mut lengths = headers
+        .iter()
+        .filter(|(name, _)| name == "content-length")
+        .map(|(_, v)| v.as_str());
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => None,
+        (Some(_), Some(_)) => return Err(WireError::BadRequest("duplicate content-length")),
+        (Some(v), None) => match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => Some(n),
+            _ => return Err(WireError::BadRequest("malformed content-length")),
+        },
     };
     let body = match content_length {
         Some(n) if n > limits.max_body_bytes => return Err(WireError::BodyTooLarge),
@@ -250,29 +264,33 @@ impl Response {
         self
     }
 
-    /// Serializes the status line, headers, framing, and body. `close`
-    /// controls the `Connection` header the peer sees.
+    /// Serializes the status line, headers, framing, and body into one
+    /// buffer and hands it to `stream` in a single `write_all`, then
+    /// flushes. `close` controls the `Connection` header the peer sees.
+    ///
+    /// One write per response is what keeps a keep-alive connection fast:
+    /// with Nagle's algorithm on, a body written after its head waits for
+    /// the peer's delayed ACK of the head (40 ms minimum on Linux).
     pub fn write_to<W: Write>(&self, stream: &mut W, close: bool) -> std::io::Result<()> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\n",
-            self.status,
-            reason_phrase(self.status)
-        );
+        // Status line, `Content-Length` and `Connection` fit in 128 bytes.
+        let head_len: usize = self
+            .headers
+            .iter()
+            .map(|(name, value)| name.len() + value.len() + 4)
+            .sum();
+        let mut out = Vec::with_capacity(128 + head_len + self.body.len());
+        write!(out, "HTTP/1.1 {} {}\r\n", self.status, reason_phrase(self.status))?;
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            write!(out, "{name}: {value}\r\n")?;
         }
-        head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
-        head.push_str(if close {
-            "Connection: close\r\n"
-        } else {
-            "Connection: keep-alive\r\n"
-        });
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        let connection = if close { "close" } else { "keep-alive" };
+        write!(
+            out,
+            "Content-Length: {}\r\nConnection: {connection}\r\n\r\n",
+            self.body.len()
+        )?;
+        out.extend_from_slice(&self.body);
+        stream.write_all(&out)?;
         stream.flush()
     }
 }

@@ -11,7 +11,9 @@ use std::time::Instant;
 
 /// A started monotonic stopwatch. Read it with
 /// [`elapsed_seconds`](Stopwatch::elapsed_seconds) and feed the result to a
-/// metrics histogram; nothing else should be derived from it.
+/// metrics histogram. The HTTP transport also uses one to abandon a request
+/// that takes too long to arrive; nothing that reaches a model byte, an
+/// alarm or a response byte should be derived from it.
 ///
 /// # Example
 ///

@@ -20,6 +20,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use ibcm::http::{HttpConfig, HttpServer, HttpService};
 use ibcm::served::{CheckpointStore, Daemon, MergedAlarm, ServedConfig};
@@ -542,19 +543,107 @@ fn health_ready_metrics_and_checkpoint_endpoints() {
     server.shutdown();
 }
 
+/// Requests after the first on a keep-alive connection must not wait on
+/// the peer's delayed ACK (40 ms minimum on Linux), which is what a
+/// response written as a head and a separate small body costs under
+/// Nagle's algorithm.
 #[test]
 fn keep_alive_serves_sequential_requests_on_one_connection() {
+    let (dataset, _) = fixture();
+    let events = ibcm::chaos::event_stream(dataset);
     let (mut server, _service) = serve(1024);
     let addr = server.local_addr();
     let mut stream = TcpStream::connect(addr).expect("connect");
-    for _ in 0..3 {
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
-            .expect("write");
-        let resp = read_response(&mut stream);
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.body, "ok\n");
+    let mut rtts_ms = Vec::new();
+    for (i, batch) in events.chunks(8).take(7).enumerate() {
+        let body: String = batch.iter().map(|e| event_line(e) + "\n").collect();
+        let requests = [
+            ("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".to_string(), "ok\n"),
+            (
+                format!(
+                    "POST /v1/events HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                ),
+                "\"status\":\"complete\"",
+            ),
+            ("GET /v1/alarms HTTP/1.1\r\nHost: t\r\n\r\n".to_string(), "\"alarms\":["),
+        ];
+        for (raw, needle) in &requests {
+            let clock = ibcm::obs::Stopwatch::start();
+            stream.write_all(raw.as_bytes()).expect("write");
+            let resp = read_response(&mut stream);
+            rtts_ms.push(clock.elapsed_seconds() * 1e3);
+            assert_eq!(resp.status, 200, "round {i}: {}", resp.body);
+            assert!(resp.body.contains(needle), "round {i}: {}", resp.body);
+            assert_eq!(resp.header("Connection"), Some("keep-alive"));
+        }
     }
+    assert_eq!(rtts_ms.len(), 21);
+    rtts_ms.sort_by(f64::total_cmp);
+    let median = rtts_ms[rtts_ms.len() / 2];
+    assert!(
+        median < 20.0,
+        "median keep-alive round trip {median:.1} ms (all: {rtts_ms:.1?})"
+    );
+    server.shutdown();
+}
+
+/// A client that trickles its head one byte at a time must lose its
+/// connection slot once the read timeout has passed since the request's
+/// first byte, not only when a single read stalls that long.
+#[test]
+fn slow_client_cannot_hold_a_connection_slot() {
+    let (_, detector) = fixture();
+    let detector = Arc::new(detector.clone());
+    let daemon = Daemon::new(
+        Arc::clone(&detector),
+        served_config(1024),
+        CheckpointStore::memory(),
+    )
+    .expect("daemon");
+    let config = HttpConfig::new()
+        .with_max_connections(1)
+        .with_read_timeout_ms(300);
+    let service = Arc::new(HttpService::new(detector, daemon, 1024, 1024));
+    let mut server = HttpServer::bind(config, Arc::clone(&service)).expect("bind");
+    let addr = server.local_addr();
+
+    // Connected first, so it takes the only slot; a head byte every 50 ms
+    // for at most 4 s, never finishing the head.
+    let mut slow = TcpStream::connect(addr).expect("connect");
+    let trickler = std::thread::spawn(move || {
+        let head = b"GET /healthz HTTP/1.1\r\nHost: t\r\nX-Padding: ";
+        for byte in head.iter().chain(std::iter::repeat(&b'a')).take(80) {
+            if slow.write_all(std::slice::from_ref(byte)).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+
+    let clock = ibcm::obs::Stopwatch::start();
+    let mut last = String::new();
+    let served = loop {
+        if clock.elapsed_seconds() > 3.0 {
+            break false;
+        }
+        // A 503 can arrive as a reset (the acceptor closes without reading
+        // the request), so read whatever comes and retry on anything else.
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let _ = stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+        let mut reply = Vec::new();
+        let _ = stream.read_to_end(&mut reply);
+        last = String::from_utf8_lossy(&reply).into_owned();
+        if last.starts_with("HTTP/1.1 200 ") {
+            break true;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(
+        served,
+        "a trickling client held the only slot for 3 s; last reply: {last:?}"
+    );
+    trickler.join().expect("trickler");
     server.shutdown();
 }
 
@@ -629,6 +718,23 @@ fn malformed_requests_get_typed_4xx_and_never_kill_the_server() {
             b"GET /v1/alarms?cursor=minus-one HTTP/1.1\r\nHost: t\r\n\r\n".to_vec(),
             400,
         ),
+        // Two conflicting Content-Length headers: framed by the first, the
+        // trailing GET would be answered as a second, smuggled request.
+        (
+            [
+                &b"POST /v1/events HTTP/1.1\r\nContent-Length: 32\r\nContent-Length: 70\r\n\r\n"[..],
+                b"{\"user\":1,\"action\":2,\"minute\":3}",
+                b"GET /v1/nonsense HTTP/1.1\r\nHost: t\r\n\r\n",
+            ]
+            .concat(),
+            400,
+        ),
+        // A signed Content-Length is not a digit string.
+        (
+            b"POST /v1/events HTTP/1.1\r\nContent-Length: +33\r\n\r\n{\"user\":1,\"action\":2,\"minute\":3}\n"
+                .to_vec(),
+            400,
+        ),
     ];
 
     for (raw, want) in &cases {
@@ -649,6 +755,14 @@ fn malformed_requests_get_typed_4xx_and_never_kill_the_server() {
             resp.body.contains("\"error\"") || resp.status < 400,
             "4xx must carry the error envelope: {}",
             resp.body
+        );
+        let mut rest = Vec::new();
+        let _ = stream.read_to_end(&mut rest);
+        assert!(
+            rest.is_empty(),
+            "request {:?} got a second response: {:?}",
+            String::from_utf8_lossy(raw),
+            String::from_utf8_lossy(&rest)
         );
     }
 
