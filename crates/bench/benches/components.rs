@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use ibcm_lm::{LmTrainConfig, LstmLm, NgramConfig, NgramLm};
 use ibcm_logsim::{ActionId, Generator, GeneratorConfig};
-use ibcm_nn::{LstmLayer, LstmState, Matrix, StepInput};
+use ibcm_nn::{BatchScratch, LstmBatchState, LstmLayer, Matrix, StepInput};
 use ibcm_ocsvm::{ClusterRouter, OcSvm, OcSvmConfig, SessionFeaturizer};
 use ibcm_patterns::PrefixSpan;
 use ibcm_topics::{Lda, LdaConfig};
@@ -36,11 +36,13 @@ fn bench_lstm(c: &mut Criterion) {
     c.bench_function("lstm/backward_b32_t20_h64_v300", |bencher| {
         bencher.iter(|| std::hint::black_box(lstm.backward(&cache, &d_h)))
     });
+    // The streaming scorer's step: one lane, through a reused workspace.
+    let mut scratch = BatchScratch::new();
     c.bench_function("lstm/online_step_h64_v300", |bencher| {
         bencher.iter_batched(
-            || LstmState::new(64),
+            || LstmBatchState::new(1, 64),
             |mut state| {
-                lstm.step(&mut state, StepInput::Action(17));
+                lstm.step_batch_scratch(&mut state, &[StepInput::Action(17)], &mut scratch);
                 std::hint::black_box(state)
             },
             BatchSize::SmallInput,

@@ -25,9 +25,11 @@
 //!   was taken against (cluster count, vocabulary, lock-in) and refuses to
 //!   restore against a different one.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use ibcm_lm::LstmLm;
 use ibcm_logsim::{ActionId, UserId};
+use ibcm_nn::serialize::SliceReader;
+use ibcm_nn::NnError;
 use ibcm_ocsvm::ClusterRouter;
 
 use crate::detector::MisuseDetector;
@@ -120,60 +122,28 @@ fn open_envelope<'a>(
     Ok((version, payload))
 }
 
-/// Borrowed cursor over an already-validated payload slice: every read is
-/// bounds-checked into a typed [`CoreError::Persist`], and [`take`] /
-/// [`block`] return sub-slices of the original input rather than copies.
-///
-/// [`take`]: SliceCursor::take
-/// [`block`]: SliceCursor::block
-struct SliceCursor<'a> {
-    buf: &'a [u8],
+/// A [`SliceReader`] failure as a persistence error.
+fn read_err(e: NnError) -> CoreError {
+    persist_err(e.to_string())
 }
 
-impl<'a> SliceCursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        SliceCursor { buf }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CoreError> {
-        if self.buf.len() < n {
-            return Err(persist_err(format!("{what} truncated")));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, CoreError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32_le(&mut self, what: &str) -> Result<u32, CoreError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// A length-prefixed block, borrowed from the input.
-    fn block(&mut self, what: &str) -> Result<&'a [u8], CoreError> {
-        let len = self
-            .take(8, &format!("{what} block header"))
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")) as usize)?;
-        if self.buf.len() < len {
-            return Err(persist_err(format!("{what} block body truncated")));
-        }
-        self.take(len, what)
-    }
+/// A length-prefixed block, borrowed from the input. The `u64` length is
+/// checked against the remaining bytes before anything is taken.
+fn block<'a>(r: &mut SliceReader<'a>, what: &str) -> Result<&'a [u8], NnError> {
+    let len = r.u64_le(&format!("{what} block header"))?;
+    r.take(usize::try_from(len).unwrap_or(usize::MAX), what)
 }
 
-fn need(buf: &Bytes, bytes: usize, what: &str) -> Result<(), CoreError> {
-    if buf.remaining() < bytes {
-        return Err(persist_err(format!("{what} truncated")));
-    }
-    Ok(())
+/// `n` little-endian `u64`s. All `8 * n` bytes are taken before anything
+/// is decoded, so a huge decoded count fails as truncation and never sizes
+/// an allocation.
+fn u64s(r: &mut SliceReader<'_>, n: u64, what: &str) -> Result<Vec<u64>, NnError> {
+    let bytes = n
+        .checked_mul(8)
+        .and_then(|b| usize::try_from(b).ok())
+        .ok_or_else(|| NnError::Deserialize(format!("{what} count {n} overflows")))?;
+    let mut body = SliceReader::new(r.take(bytes, what)?);
+    (0..n).map(|_| body.u64_le(what)).collect()
 }
 
 /// What [`MisuseDetector::from_bytes_lenient`] had to do to load the file.
@@ -252,23 +222,23 @@ impl MisuseDetector {
 
     fn parse(data: &[u8], lenient: bool) -> Result<(Self, LoadReport), CoreError> {
         let (version, payload) = open_envelope(data, MAGIC, "detector", |v| v == 1 || v == 2)?;
-        let mut payload = SliceCursor::new(payload);
-        let lock_in = payload.u32_le("detector lock-in")? as usize;
+        let mut payload = SliceReader::new(payload);
+        let lock_in = payload.u32_le("detector lock-in").map_err(read_err)? as usize;
         if lock_in == 0 {
             return Err(persist_err("lock_in must be positive"));
         }
-        let router = ClusterRouter::from_bytes(payload.block("router")?)
+        let router = ClusterRouter::from_bytes(block(&mut payload, "router").map_err(read_err)?)
             .map_err(|e| persist_err(e.to_string()))?;
-        let n = payload.u32_le("model count")? as usize;
+        let n = payload.u32_le("model count").map_err(read_err)? as usize;
         if n != router.n_clusters() {
             return Err(persist_err(
                 "model count disagrees with router clusters",
             ));
         }
-        let mut models: Vec<Option<LstmLm>> = Vec::with_capacity(n);
+        let mut models: Vec<Option<LstmLm>> = Vec::new();
         let mut report = LoadReport::default();
         for i in 0..n {
-            let block = payload.block("model")?;
+            let block = block(&mut payload, "model").map_err(read_err)?;
             match LstmLm::from_bytes(block) {
                 Ok(model) => models.push(Some(model)),
                 Err(e) if lenient => {
@@ -280,8 +250,8 @@ impl MisuseDetector {
             }
         }
         let fallback = if version >= 2 {
-            if payload.u8("fallback flag")? == 1 {
-                let block = payload.block("fallback")?;
+            if payload.u8("fallback flag").map_err(read_err)? == 1 {
+                let block = block(&mut payload, "fallback").map_err(read_err)?;
                 Some(LstmLm::from_bytes(block).map_err(|e| persist_err(e.to_string()))?)
             } else {
                 None
@@ -342,11 +312,9 @@ fn put_opt_u64(buf: &mut BytesMut, value: Option<u64>) {
     }
 }
 
-fn get_opt_u64(buf: &mut Bytes, what: &str) -> Result<Option<u64>, CoreError> {
-    need(buf, 1, what)?;
-    if buf.get_u8() == 1 {
-        need(buf, 8, what)?;
-        Ok(Some(buf.get_u64_le()))
+fn get_opt_u64(r: &mut SliceReader<'_>, what: &str) -> Result<Option<u64>, NnError> {
+    if r.u8(what)? == 1 {
+        Ok(Some(r.u64_le(what)?))
     } else {
         Ok(None)
     }
@@ -359,13 +327,90 @@ fn put_fault_action(buf: &mut BytesMut, action: FaultAction) {
     });
 }
 
-fn get_fault_action(buf: &mut Bytes, what: &str) -> Result<FaultAction, CoreError> {
-    need(buf, 1, what)?;
-    match buf.get_u8() {
+fn get_fault_action(r: &mut SliceReader<'_>, what: &str) -> Result<FaultAction, NnError> {
+    match r.u8(what)? {
         0 => Ok(FaultAction::Process),
         1 => Ok(FaultAction::Drop),
-        x => Err(persist_err(format!("unknown {what} tag {x}"))),
+        x => Err(NnError::Deserialize(format!("unknown {what} tag {x}"))),
     }
+}
+
+/// Decodes the part of an `IBCS` payload after the detector fingerprint.
+fn decode_snapshot(r: &mut SliceReader<'_>) -> Result<StreamSnapshot, NnError> {
+    let session_timeout_minutes = r.u64_le("session timeout")?;
+    let n_end = r.u32_le("end-action count")?;
+    let end_actions = u64s(r, u64::from(n_end), "end actions")?
+        .into_iter()
+        .map(|a| ActionId(a as usize))
+        .collect();
+    let policy = AlarmPolicy {
+        likelihood_threshold: r.f32_le("alarm policy")?,
+        window: r.u32_le("alarm policy")? as usize,
+        warmup: r.u32_le("alarm policy")? as usize,
+        trend_window: r.u32_le("alarm policy")? as usize,
+        trend_drop_ratio: r.f32_le("alarm policy")?,
+    };
+    let non_monotonic = match r.u8("clock policy")? {
+        0 => ClockPolicy::Clamp,
+        1 => ClockPolicy::Drop,
+        x => return Err(NnError::Deserialize(format!("unknown clock policy tag {x}"))),
+    };
+    let faults = FaultPolicy {
+        non_monotonic,
+        duplicates: get_fault_action(r, "duplicate policy")?,
+        unknown_actions: get_fault_action(r, "unknown-action policy")?,
+        unknown_users: get_fault_action(r, "unknown-user policy")?,
+        known_users: get_opt_u64(r, "known-user bound")?.map(|v| v as usize),
+        max_active_sessions: get_opt_u64(r, "session cap")?.map(|v| v as usize),
+    };
+    let clock = r.u64_le("checkpoint clock")?;
+    let counters = FaultCounters {
+        non_monotonic: r.u64_le("checkpoint counters")?,
+        duplicate: r.u64_le("checkpoint counters")?,
+        unknown_action: r.u64_le("checkpoint counters")?,
+        unknown_user: r.u64_le("checkpoint counters")?,
+        dropped: r.u64_le("checkpoint counters")?,
+        shed: r.u64_le("checkpoint counters")?,
+    };
+    let sessions_started = r.u64_le("checkpoint counters")? as usize;
+    let sessions_ended = r.u64_le("checkpoint counters")? as usize;
+    let n_sessions = r.u32_le("session count")?;
+    let mut sessions = Vec::new();
+    for _ in 0..n_sessions {
+        let user = UserId(r.u64_le("session record")? as usize);
+        let last_minute = r.u64_le("session record")?;
+        let last_action = get_opt_u64(r, "session last action")?.map(|v| ActionId(v as usize));
+        let n_prefix = r.u64_le("session prefix length")?;
+        let prefix = u64s(r, n_prefix, "session prefix")?
+            .into_iter()
+            .map(|a| ActionId(a as usize))
+            .collect();
+        sessions.push(SessionSnapshot {
+            user,
+            last_minute,
+            last_action,
+            prefix,
+        });
+    }
+    if r.remaining() != 0 {
+        return Err(NnError::Deserialize(format!(
+            "{} trailing bytes after checkpoint payload",
+            r.remaining()
+        )));
+    }
+    Ok(StreamSnapshot {
+        config: StreamConfig {
+            session_timeout_minutes,
+            end_actions,
+            policy,
+            faults,
+        },
+        clock,
+        counters,
+        sessions_started,
+        sessions_ended,
+        sessions,
+    })
 }
 
 impl StreamMonitor<'_> {
@@ -459,13 +504,10 @@ impl MisuseDetector {
     /// checkpoint's detector fingerprint does not match this detector.
     pub fn restore_stream_monitor(&self, data: &[u8]) -> Result<StreamMonitor<'_>, CoreError> {
         let (_, payload) = open_envelope(data, CKPT_MAGIC, "checkpoint", |v| v == CKPT_VERSION)?;
-        let mut p = Bytes::copy_from_slice(payload);
-        need(&p, 12, "checkpoint fingerprint")?;
-        let (n_clusters, vocab, lock_in) = (
-            p.get_u32_le() as usize,
-            p.get_u32_le() as usize,
-            p.get_u32_le() as usize,
-        );
+        let mut r = SliceReader::new(payload);
+        let n_clusters = r.u32_le("checkpoint fingerprint").map_err(read_err)? as usize;
+        let vocab = r.u32_le("checkpoint fingerprint").map_err(read_err)? as usize;
+        let lock_in = r.u32_le("checkpoint fingerprint").map_err(read_err)? as usize;
         if n_clusters != self.n_clusters()
             || vocab != self.vocab_size()
             || lock_in != self.lock_in()
@@ -479,96 +521,8 @@ impl MisuseDetector {
                 self.lock_in()
             )));
         }
-        need(&p, 8 + 4, "checkpoint config")?;
-        let session_timeout_minutes = p.get_u64_le();
-        let n_end = p.get_u32_le() as usize;
-        let end_bytes = n_end
-            .checked_mul(8)
-            .ok_or_else(|| persist_err("end-action count overflow"))?;
-        need(&p, end_bytes, "end actions")?;
-        let mut end_actions = Vec::with_capacity(n_end);
-        for _ in 0..n_end {
-            end_actions.push(ActionId(p.get_u64_le() as usize));
-        }
-        need(&p, 4 + 4 * 4, "alarm policy")?;
-        let policy = AlarmPolicy {
-            likelihood_threshold: p.get_f32_le(),
-            window: p.get_u32_le() as usize,
-            warmup: p.get_u32_le() as usize,
-            trend_window: p.get_u32_le() as usize,
-            trend_drop_ratio: p.get_f32_le(),
-        };
-        need(&p, 1, "clock policy")?;
-        let non_monotonic = match p.get_u8() {
-            0 => ClockPolicy::Clamp,
-            1 => ClockPolicy::Drop,
-            x => return Err(persist_err(format!("unknown clock policy tag {x}"))),
-        };
-        let faults = FaultPolicy {
-            non_monotonic,
-            duplicates: get_fault_action(&mut p, "duplicate policy")?,
-            unknown_actions: get_fault_action(&mut p, "unknown-action policy")?,
-            unknown_users: get_fault_action(&mut p, "unknown-user policy")?,
-            known_users: get_opt_u64(&mut p, "known-user bound")?.map(|v| v as usize),
-            max_active_sessions: get_opt_u64(&mut p, "session cap")?.map(|v| v as usize),
-        };
-        need(&p, 8 * 9, "checkpoint counters")?;
-        let clock = p.get_u64_le();
-        let counters = FaultCounters {
-            non_monotonic: p.get_u64_le(),
-            duplicate: p.get_u64_le(),
-            unknown_action: p.get_u64_le(),
-            unknown_user: p.get_u64_le(),
-            dropped: p.get_u64_le(),
-            shed: p.get_u64_le(),
-        };
-        let sessions_started = p.get_u64_le() as usize;
-        let sessions_ended = p.get_u64_le() as usize;
-        need(&p, 4, "session count")?;
-        let n_sessions = p.get_u32_le() as usize;
-        let mut sessions = Vec::new();
-        for _ in 0..n_sessions {
-            need(&p, 8 + 8 + 1, "session record")?;
-            let user = UserId(p.get_u64_le() as usize);
-            let last_minute = p.get_u64_le();
-            let last_action = get_opt_u64(&mut p, "session last action")?
-                .map(|v| ActionId(v as usize));
-            need(&p, 8, "session prefix length")?;
-            let n_prefix = p.get_u64_le() as usize;
-            let prefix_bytes = n_prefix
-                .checked_mul(8)
-                .ok_or_else(|| persist_err("session prefix overflow"))?;
-            need(&p, prefix_bytes, "session prefix")?;
-            let mut prefix = Vec::with_capacity(n_prefix);
-            for _ in 0..n_prefix {
-                prefix.push(ActionId(p.get_u64_le() as usize));
-            }
-            sessions.push(SessionSnapshot {
-                user,
-                last_minute,
-                last_action,
-                prefix,
-            });
-        }
-        if p.remaining() != 0 {
-            return Err(persist_err(format!(
-                "{} trailing bytes after checkpoint payload",
-                p.remaining()
-            )));
-        }
-        Ok(self.stream_from_snapshot(StreamSnapshot {
-            config: StreamConfig {
-                session_timeout_minutes,
-                end_actions,
-                policy,
-                faults,
-            },
-            clock,
-            counters,
-            sessions_started,
-            sessions_ended,
-            sessions,
-        }))
+        let snapshot = decode_snapshot(&mut r).map_err(read_err)?;
+        Ok(self.stream_from_snapshot(snapshot))
     }
 
     /// Loads an `IBCS` checkpoint written with
@@ -724,6 +678,28 @@ mod tests {
     }
 
     #[test]
+    fn legacy_file_with_huge_layer_count_is_rejected() {
+        // A version-1 file has no checksum, so a model block's layer count
+        // reaches the model decoder as written.
+        let bytes = detector().to_bytes();
+        let payload = &bytes[16..bytes.len() - 8];
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&payload[..payload.len() - 1]);
+        // Payload layout: lock_in u32, router block (u64 len + body), model
+        // count u32, then the first model block (u64 len + model bytes).
+        let router_len = u64::from_le_bytes(payload[4..12].try_into().unwrap()) as usize;
+        // Model bytes: magic, version, vocab, hidden, then the layer count.
+        let layers = 8 + 4 + 8 + router_len + 4 + 8 + 16;
+        assert_eq!(&v1[layers..layers + 4], &1u32.to_le_bytes());
+        v1[layers..layers + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            MisuseDetector::from_bytes(&v1),
+            Err(CoreError::Persist(_))
+        ));
+    }
+
+    #[test]
     fn zero_copy_load_round_trips_bytes() {
         let d = detector().with_fallback(fallback_lm());
         let bytes = d.to_bytes();
@@ -853,6 +829,33 @@ mod tests {
                 "flip at byte {i}"
             );
         }
+    }
+
+    #[test]
+    fn checkpoint_with_huge_prefix_length_is_rejected() {
+        let d = detector();
+        let mut sm = d.stream_monitor(StreamConfig::default());
+        for (a, m) in [(0, 1), (1, 2), (2, 3)] {
+            sm.observe(SessionEvent {
+                user: UserId(0),
+                action: ActionId(a),
+                minute: m,
+            });
+        }
+        let bytes = sm.checkpoint();
+        let mut payload = bytes[16..bytes.len() - 8].to_vec();
+        // The one live session's record ends with its prefix length and
+        // then its three actions.
+        let len_at = payload.len() - 3 * 8 - 8;
+        assert_eq!(&payload[len_at..len_at + 8], &3u64.to_le_bytes());
+        payload[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        // A correct checksum: only the decoder stands between the count and
+        // an allocation.
+        let forged = envelope(CKPT_MAGIC, CKPT_VERSION, &payload);
+        assert!(matches!(
+            d.restore_stream_monitor(&forged),
+            Err(CoreError::Persist(_))
+        ));
     }
 
     #[test]

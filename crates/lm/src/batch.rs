@@ -15,7 +15,8 @@
 //! 2. each bucket advances one timestep at a time through a batch-major
 //!    `lanes x 4*hidden` gate slab
 //!    ([`ibcm_nn::LstmLayer::step_batch_scratch`]), so each weight matrix is
-//!    streamed **once per timestep for the whole bucket**;
+//!    streamed **once per timestep for the whole bucket**; the streaming
+//!    [`crate::LmScorer`] runs the same layer step at one lane;
 //! 3. because lanes are sorted by descending length, sessions that end early
 //!    are always a suffix of the bucket and simply retire
 //!    ([`ibcm_nn::LstmBatchState::truncate`]) — no pad token is ever fed
@@ -24,9 +25,10 @@
 //! 4. results are scattered back to input order, so the output is
 //!    positionally identical to a sequential `try_score_session` loop.
 //!
-//! Per lane, the sequence of rounded floating-point operations is exactly
-//! the per-session scorer's (bias, then the input row, then each reduction
-//! in ascending order — see the `ibcm-nn` batch kernels), so every score is
+//! Both paths advance the stack through one function (`step_layers`), and
+//! no lane's arithmetic reads another lane's row, so every lane's hidden
+//! states are the per-session scorer's bit for bit. The read-out below
+//! replays the scorer's softmax operation for operation, so every score is
 //! **bit-identical** to the per-session path. The equality suite in
 //! `tests/batch_equivalence.rs` asserts this.
 //!
@@ -196,6 +198,42 @@ impl LstmLm {
             .collect()
     }
 
+    /// Advances the whole layer stack one timestep, in lock-step: lane `r`
+    /// of the bottom layer takes `inputs[r]`, and each upper layer takes
+    /// the hidden rows of the layer below. `states` holds one state per
+    /// layer, bottom first. The streaming [`LmScorer`](crate::LmScorer)
+    /// steps through here at one lane and [`LstmLm::score_bucket`] at one
+    /// lane per session, so both paths run the same arithmetic.
+    pub(crate) fn step_layers(
+        &self,
+        states: &mut [LstmBatchState],
+        inputs: &[StepInput],
+        scratch: &mut BatchScratch,
+    ) {
+        let Some((bottom, uppers)) = states.split_first_mut() else {
+            return;
+        };
+        self.lstm.step_batch_scratch(bottom, inputs, scratch);
+        let mut below: &LstmBatchState = bottom;
+        for (layer, state) in self.upper.iter().zip(uppers) {
+            layer.step_batch_dense_scratch(state, below.hiddens(), scratch);
+            below = state;
+        }
+    }
+
+    /// The dense head's input width disagreeing with the hidden width,
+    /// which only corrupt model bytes can cause. Both scorers check it
+    /// before they read the head.
+    pub(crate) fn head_width_error(&self) -> Option<LmError> {
+        (self.hidden() != self.dense.in_dim()).then(|| {
+            LmError::Scoring(format!(
+                "hidden state width {} does not match dense head input {}",
+                self.hidden(),
+                self.dense.in_dim()
+            ))
+        })
+    }
+
     /// Scores one bucket of lanes (already sorted by descending length) in
     /// lock-step. Returns one result per lane, in lane order.
     // ibcm-lint: allow(transitive-panic, reason = "lane indices come from partition_point over descending lengths, so s[t] and accs[..active] stay in bounds")
@@ -210,15 +248,9 @@ impl LstmLm {
         metrics.buckets.inc();
         metrics.lanes.observe(lanes.len() as f64);
         let hidden = self.hidden();
-        // `refresh_probs` re-checks head consistency on every scored
+        // The streaming scorer re-checks head consistency on every scored
         // action; both conditions are constant across a run, so hoist them.
-        let head_width_err = (hidden != self.dense.in_dim()).then(|| {
-            LmError::Scoring(format!(
-                "hidden state width {} does not match dense head input {}",
-                hidden,
-                self.dense.in_dim()
-            ))
-        });
+        let head_width_err = self.head_width_error();
         let head_len = self.dense.out_dim();
         let mut states: Vec<LstmBatchState> = (0..1 + self.upper.len())
             .map(|_| LstmBatchState::new(lanes.len(), hidden))
@@ -246,11 +278,7 @@ impl LstmLm {
             }
             inputs.clear();
             inputs.extend(lanes[..active].iter().map(|s| StepInput::Action(s[t])));
-            self.lstm.step_batch_scratch(&mut states[0], &inputs, scratch);
-            for (li, layer) in self.upper.iter().enumerate() {
-                let (below, above) = states.split_at_mut(li + 1);
-                layer.step_batch_dense_scratch(&mut above[0], below[li].hiddens(), scratch);
-            }
+            self.step_layers(&mut states, &inputs, scratch);
         }
         metrics.seconds.observe(stopwatch.elapsed_seconds());
         accs.into_iter()

@@ -17,11 +17,13 @@
 //!   an equivalent, much faster *full-sequence* scheme are implemented
 //!   ([`BatchScheme`]),
 //! - [`LmScorer`]: a streaming scorer holding the recurrent state, used by
-//!   the online regime (score each action as it arrives),
+//!   the online regime (score each action as it arrives); it is a
+//!   lock-step batch of one lane,
 //! - [`LstmLm::try_score_sessions_batched`]: the lock-step batched scorer
 //!   for the offline throughput regime — many sessions advance through one
-//!   model together, bit-identical to the per-session path (see the
-//!   [`plan_buckets`] scheduler),
+//!   model together, through the same layer step as [`LmScorer`], so
+//!   bit-identical to the per-session path (see the [`plan_buckets`]
+//!   scheduler),
 //! - [`SequenceEval`] metrics: next-action accuracy, average loss, average
 //!   likelihood, and per-position likelihood curves (Figs. 4, 5, 7–12),
 //! - [`NgramLm`]: an interpolated n-gram baseline for ablations,

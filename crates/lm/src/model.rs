@@ -801,6 +801,42 @@ mod tests {
         assert!(s.avg_likelihood > 0.5);
     }
 
+    /// The streaming scorer's step through the whole stack replays the
+    /// training forward pass (sparse bottom layer, dense upper layers,
+    /// dense head) to rounding. The batched path steps through the same
+    /// function, so this is the stack-level oracle for both; three layers
+    /// catch an upper layer reading the wrong layer below.
+    #[test]
+    fn streaming_stack_matches_training_forward() {
+        use ibcm_nn::{softmax_in_place, StepInput};
+        let seqs: Vec<Vec<usize>> = (0..8)
+            .map(|i| (0..9).map(|j| (i + 2 * j) % 5).collect())
+            .collect();
+        let cfg = LmTrainConfig {
+            layers: 3,
+            hidden: 7,
+            epochs: 2,
+            ..quick_cfg(5)
+        };
+        let lm = LstmLm::train(&cfg, &seqs, &[]).unwrap();
+        let session = &seqs[1];
+        let inputs: Vec<Vec<StepInput>> =
+            session.iter().map(|&a| vec![StepInput::Action(a)]).collect();
+        let mut below = lm.lstm.forward(&inputs).hiddens().to_vec();
+        for layer in &lm.upper {
+            below = layer.forward_dense(&below).0.hiddens().to_vec();
+        }
+        let mut scorer = lm.scorer();
+        for (t, &a) in session.iter().enumerate() {
+            scorer.feed(a);
+            let mut want = lm.dense.forward(&below[t]);
+            softmax_in_place(want.row_mut(0));
+            for (got, want) in scorer.probs().iter().zip(want.row(0)) {
+                assert!((got - want).abs() < 1e-5, "step {t}: {got} vs {want}");
+            }
+        }
+    }
+
     #[test]
     fn zero_layers_rejected() {
         let cfg = LmTrainConfig {

@@ -108,7 +108,9 @@ impl LstmLm {
         let wx = nns::read_matrix_slice(&mut r)?;
         let wh = nns::read_matrix_slice(&mut r)?;
         let b = nns::read_vec_slice(&mut r)?;
-        let mut upper_params = Vec::with_capacity(layers - 1);
+        // Grown only as layers decode: `layers` is untrusted until the
+        // bytes for every layer have been read.
+        let mut upper_params = Vec::new();
         for _ in 1..layers {
             let uwx = nns::read_matrix_slice(&mut r)?;
             let uwh = nns::read_matrix_slice(&mut r)?;
@@ -331,6 +333,18 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(LstmLm::from_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn huge_layer_count_is_an_error() {
+        // Layout: magic, version, vocab, hidden, then the layer count.
+        let mut bytes = trained().to_bytes();
+        assert_eq!(&bytes[16..20], &1u32.to_le_bytes());
+        bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            LstmLm::from_bytes(&bytes),
+            Err(LmError::Persist(_))
+        ));
     }
 
     #[test]

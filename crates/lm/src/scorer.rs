@@ -1,6 +1,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
 
-use ibcm_nn::{softmax_in_place, LstmState, Scratch, StepInput};
+use ibcm_nn::{softmax_in_place, BatchScratch, LstmBatchState, Matrix, StepInput};
 
 use crate::error::LmError;
 use crate::model::LstmLm;
@@ -32,17 +32,39 @@ pub struct StepScore {
 /// session so far, then folded into the recurrent state.
 ///
 /// Created by [`LstmLm::scorer`]. The first fed action is never scored
-/// (there is no observed prefix to predict it from).
+/// (there is no observed prefix to predict it from). The scorer is a
+/// lock-step batch of one lane: it steps the same kernels as
+/// [`LstmLm::try_score_sessions_batched`], so its scores are bit-identical
+/// to that path's.
 #[derive(Debug, Clone)]
 pub struct LmScorer<'a> {
     model: &'a LstmLm,
-    /// One recurrent state per stacked layer (bottom first).
-    states: Vec<LstmState>,
+    /// One one-lane recurrent state per stacked layer (bottom first).
+    states: Vec<LstmBatchState>,
     /// Reused gate slab for the per-action steps (allocation-free path).
-    scratch: Scratch,
-    /// Reused probability buffer for [`LmScorer::try_feed`].
-    probs_buf: Vec<f32>,
+    scratch: BatchScratch,
+    /// Reused `1 x vocab` probability buffer for [`LmScorer::try_feed`].
+    probs: Matrix,
     fed_any: bool,
+}
+
+/// Writes the next-action distribution into `probs`: the dense head over
+/// the top layer's hidden row, then a softmax. The one head-shape check
+/// behind both [`LmScorer::try_probs`] and [`LmScorer::try_feed`].
+fn head_probs_into(
+    model: &LstmLm,
+    states: &[LstmBatchState],
+    probs: &mut Matrix,
+) -> Result<(), LmError> {
+    if let Some(e) = model.head_width_error() {
+        return Err(e);
+    }
+    let top = states
+        .last()
+        .ok_or_else(|| LmError::Scoring("scorer has no layers".into()))?;
+    model.dense.forward_batch_into(top.hiddens(), probs);
+    softmax_in_place(probs.as_mut_slice());
+    Ok(())
 }
 
 impl<'a> LmScorer<'a> {
@@ -50,10 +72,10 @@ impl<'a> LmScorer<'a> {
         LmScorer {
             model,
             states: (0..1 + model.upper.len())
-                .map(|_| LstmState::new(model.hidden()))
+                .map(|_| LstmBatchState::new(1, model.hidden()))
                 .collect(),
-            scratch: Scratch::new(),
-            probs_buf: Vec::new(),
+            scratch: BatchScratch::new(),
+            probs: Matrix::default(),
             fed_any: false,
         }
     }
@@ -61,7 +83,7 @@ impl<'a> LmScorer<'a> {
     /// Rewinds to the start-of-session state, keeping every internal buffer
     /// allocated — scoring many sessions back to back reuses one scorer.
     pub fn reset(&mut self) {
-        self.states.iter_mut().for_each(LstmState::reset);
+        self.states.iter_mut().for_each(LstmBatchState::reset);
         self.fed_any = false;
     }
 
@@ -72,63 +94,22 @@ impl<'a> LmScorer<'a> {
     }
 
     /// [`LmScorer::probs`] with the internal-consistency failures surfaced
-    /// as typed errors instead of a panic or an empty distribution — the
-    /// variant the stream monitor uses so a corrupt model cannot take the
-    /// whole monitor down.
+    /// as typed errors instead of an empty distribution.
     ///
     /// # Errors
     ///
     /// Returns [`LmError::Scoring`] if the recurrent state and the dense
     /// head disagree on dimensions (possible only with corrupt model bytes).
     pub fn try_probs(&self) -> Result<Vec<f32>, LmError> {
-        let top = self
-            .states
-            .last()
-            .ok_or_else(|| LmError::Scoring("scorer has no layers".into()))?;
-        if top.hidden().len() != self.model.dense.in_dim() {
-            return Err(LmError::Scoring(format!(
-                "hidden state width {} does not match dense head input {}",
-                top.hidden().len(),
-                self.model.dense.in_dim()
-            )));
-        }
-        let mut logits = self.model.dense.forward_vec(top.hidden());
-        softmax_in_place(&mut logits);
-        Ok(logits)
-    }
-
-    /// Recomputes the next-action distribution into `self.probs_buf` without
-    /// allocating — the hot path behind [`LmScorer::try_feed`].
-    fn refresh_probs(&mut self) -> Result<(), LmError> {
-        let top = self
-            .states
-            .last()
-            .ok_or_else(|| LmError::Scoring("scorer has no layers".into()))?;
-        if top.hidden().len() != self.model.dense.in_dim() {
-            return Err(LmError::Scoring(format!(
-                "hidden state width {} does not match dense head input {}",
-                top.hidden().len(),
-                self.model.dense.in_dim()
-            )));
-        }
-        self.model
-            .dense
-            .forward_vec_into(top.hidden(), &mut self.probs_buf);
-        softmax_in_place(&mut self.probs_buf);
-        Ok(())
+        let mut probs = Matrix::default();
+        head_probs_into(self.model, &self.states, &mut probs)?;
+        Ok(probs.as_slice().to_vec())
     }
 
     /// Advances every layer of the stack by one action.
     fn step_stack(&mut self, action: usize) {
-        #[expect(clippy::indexing_slicing, reason = "states has upper.len() + 1 entries by construction, so states[0] always exists")]
         self.model
-            .lstm
-            .step_scratch(&mut self.states[0], StepInput::Action(action), &mut self.scratch);
-        for (li, layer) in self.model.upper.iter().enumerate() {
-            let (below, above) = self.states.split_at_mut(li + 1);
-            #[expect(clippy::indexing_slicing, reason = "li < upper.len() and states.len() == upper.len() + 1, so below has li + 1 entries and above is non-empty")]
-            layer.step_dense_scratch(&mut above[0], below[li].hidden(), &mut self.scratch);
-        }
+            .step_layers(&mut self.states, &[StepInput::Action(action)], &mut self.scratch);
         self.fed_any = true;
     }
 
@@ -165,8 +146,8 @@ impl<'a> LmScorer<'a> {
         }
         let score = if self.fed_any {
             actions_scored_counter().inc();
-            self.refresh_probs()?;
-            let probs = &self.probs_buf;
+            head_probs_into(self.model, &self.states, &mut self.probs)?;
+            let probs = self.probs.as_slice();
             let likelihood = probs
                 .get(action)
                 .copied()
@@ -227,7 +208,8 @@ impl<'a> LmScorer<'a> {
         Ok(())
     }
 
-    /// Number of actions fed so far.
+    /// Whether at least one action was fed since creation or the last
+    /// [`LmScorer::reset`].
     pub fn is_started(&self) -> bool {
         self.fed_any
     }

@@ -97,7 +97,7 @@ fn empty_batch_is_empty() {
 }
 
 #[test]
-fn equivalence_holds_in_both_kernel_modes() {
+fn two_layer_model_is_bit_identical_at_widths_1_4_32() {
     let lm = model(9, 12, 2, 21);
     let sessions: Vec<Vec<usize>> = (0..10)
         .map(|i| (0..(3 + 5 * i) % 23).map(|j| (i + j) % 9).collect())

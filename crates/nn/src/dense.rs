@@ -139,40 +139,16 @@ impl Dense {
         dy.matmul_t_into(&self.w, dx);
     }
 
-    /// Single-example forward without allocating matrices (online regime).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_dim`.
-    pub fn forward_vec(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = Vec::new();
-        self.forward_vec_into(x, &mut y);
-        y
-    }
-
-    /// [`Dense::forward_vec`] writing into a caller-owned output vector
-    /// (overwritten, reusing its allocation) — the streaming-scorer path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_dim`.
-    pub fn forward_vec_into(&self, x: &[f32], y: &mut Vec<f32>) {
-        assert_eq!(x.len(), self.in_dim(), "input length mismatch");
-        y.clear();
-        y.extend_from_slice(&self.b);
-        self.w.vecmat_acc_into(x, y);
-    }
-
-    /// Batched scoring head: one forward pass for a `lanes x in_dim` block
-    /// of hidden states, writing `lanes x out_dim` logits into `y`
-    /// (overwritten, reusing its allocation).
+    /// Scoring head: one forward pass for a `lanes x in_dim` block of
+    /// hidden states, writing `lanes x out_dim` logits into `y`
+    /// (overwritten, reusing its allocation). The streaming scorer calls it
+    /// with one lane, the batched scorer with one lane per session.
     ///
     /// Unlike [`Dense::forward_into`] — which adds the bias after the
     /// product — this initializes each output row **from the bias** and then
-    /// accumulates the product, replicating [`Dense::forward_vec_into`]'s
-    /// per-element rounding sequence, so row `r` is bit-identical to
-    /// `forward_vec_into(x.row(r), ..)`. The batched scorer depends on that
-    /// identity.
+    /// accumulates the product. No row reads another, so row `r` is
+    /// bit-identical to a one-row call on `x.row(r)`; the scorers depend on
+    /// that identity.
     ///
     /// # Panics
     ///
@@ -186,8 +162,9 @@ impl Dense {
     /// let x = Matrix::uniform(2, 4, 1.0, 7);
     /// let mut batched = Matrix::default();
     /// dense.forward_batch_into(&x, &mut batched);
-    /// let solo = dense.forward_vec(x.row(1));
-    /// assert_eq!(batched.row(1), solo.as_slice());
+    /// let mut solo = Matrix::default();
+    /// dense.forward_batch_into(&Matrix::from_rows(&[x.row(1)]), &mut solo);
+    /// assert_eq!(batched.row(1), solo.row(0));
     /// ```
     pub fn forward_batch_into(&self, x: &Matrix, y: &mut Matrix) {
         assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
@@ -281,14 +258,20 @@ pub fn softmax_cross_entropy_into(
 mod tests {
     use super::*;
 
+    /// The bias-first scoring head agrees with the bias-last training
+    /// forward to rounding, at one lane and at several.
     #[test]
-    fn forward_vec_matches_matrix_forward() {
+    fn forward_batch_matches_matrix_forward() {
         let dense = Dense::new(4, 3, 5);
-        let x = Matrix::uniform(1, 4, 1.0, 8);
-        let y = dense.forward(&x);
-        let yv = dense.forward_vec(x.row(0));
-        for (a, b) in y.row(0).iter().zip(yv.iter()) {
-            assert!((a - b).abs() < 1e-6);
+        for lanes in [1, 3] {
+            let x = Matrix::uniform(lanes, 4, 1.0, 8);
+            let y = dense.forward(&x);
+            let mut yb = Matrix::default();
+            dense.forward_batch_into(&x, &mut yb);
+            assert_eq!((yb.rows(), yb.cols()), (lanes, 3));
+            for (a, b) in y.as_slice().iter().zip(yb.as_slice()) {
+                assert!((a - b).abs() < 1e-6);
+            }
         }
     }
 

@@ -11,9 +11,12 @@
 //!   for bit against the retained naive [`mod@reference`] loops by the
 //!   property tests,
 //! - [`LstmLayer`]: a fused LSTM cell unrolled over time with explicit,
-//!   finite-difference-verified backpropagation; every entry point has an
-//!   `_into`/`_scratch` variant threading a reusable [`Scratch`] workspace
-//!   so steady-state training and streaming scoring are allocation-free,
+//!   finite-difference-verified backpropagation; training threads a
+//!   reusable [`Scratch`] workspace through `_into` variants, and inference
+//!   has one step, [`LstmLayer::step_batch_scratch`], which advances
+//!   [`LstmBatchState`] lanes in lock-step (the streaming scorer runs it at
+//!   one lane) over a reusable [`BatchScratch`], so steady-state training
+//!   and scoring are allocation-free,
 //! - [`Dense`] + [`softmax_cross_entropy`]: the classification head,
 //! - [`Dropout`]: inverted dropout,
 //! - [`Adam`]: the optimizer, with global-norm gradient clipping,
@@ -64,6 +67,6 @@ pub use dense::{
 };
 pub use dropout::Dropout;
 pub use error::NnError;
-pub use lstm::{LstmBatchState, LstmCache, LstmGrads, LstmLayer, LstmState, StepInput};
+pub use lstm::{LstmBatchState, LstmCache, LstmGrads, LstmLayer, StepInput};
 pub use matrix::{reference, Matrix};
 pub use scratch::{BatchScratch, Scratch};

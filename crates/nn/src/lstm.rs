@@ -83,44 +83,16 @@ pub struct LstmGrads {
     pub db: Vec<f32>,
 }
 
-/// Running state for incremental, action-by-action inference (the paper's
-/// online regime, §IV-C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LstmState {
-    h: Vec<f32>,
-    c: Vec<f32>,
-}
-
-impl LstmState {
-    /// Fresh all-zero state for a layer with `hidden` units.
-    pub fn new(hidden: usize) -> Self {
-        LstmState {
-            h: vec![0.0; hidden],
-            c: vec![0.0; hidden],
-        }
-    }
-
-    /// The current hidden vector.
-    pub fn hidden(&self) -> &[f32] {
-        &self.h
-    }
-
-    /// Zeroes the state in place (reuse across sessions without realloc).
-    pub fn reset(&mut self) {
-        self.h.iter_mut().for_each(|v| *v = 0.0);
-        self.c.iter_mut().for_each(|v| *v = 0.0);
-    }
-}
-
 /// Recurrent state for a **batch** of independent sessions advancing in
 /// lock-step through one layer: row `r` of each matrix is lane `r`'s hidden
-/// and cell vector.
+/// and cell vector. It is the only inference state: the streaming scorer
+/// (the paper's online regime, §IV-C) holds a one-lane batch per layer.
 ///
 /// The batched scorer sorts lanes by descending session length, so lanes
 /// that finish early always form a suffix; [`LstmBatchState::truncate`]
-/// retires them without disturbing the rows still running. Per lane the
-/// update arithmetic is exactly [`LstmLayer::step_scratch`]'s, so a lane's
-/// state trajectory is bit-identical to scoring that session alone (see
+/// retires them without disturbing the rows still running. No lane's
+/// arithmetic reads another lane's row, so a lane's state trajectory is
+/// bit-identical to stepping that session alone in a one-lane batch (see
 /// `step_batch_matches_per_lane_steps` in this module's tests).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LstmBatchState {
@@ -160,6 +132,13 @@ impl LstmBatchState {
         self.h.truncate_rows(lanes);
         self.c.truncate_rows(lanes);
     }
+
+    /// Zeroes every lane in place, keeping the allocation — a streaming
+    /// scorer reuses one state across sessions.
+    pub fn reset(&mut self) {
+        self.h.fill_zero();
+        self.c.fill_zero();
+    }
 }
 
 /// A single LSTM layer unrolled over time, with explicit backpropagation.
@@ -170,9 +149,10 @@ impl LstmBatchState {
 ///
 /// All four gate products are computed into a single fused `batch x
 /// 4*hidden` gate slab per timestep (one embedding gather + one recurrent
-/// matmul), and every entry point has an `_into`/`_scratch` variant that
-/// reuses caller-owned buffers so steady-state training and streaming
-/// scoring are allocation-free.
+/// matmul). Training entry points have `_into` variants over a caller-owned
+/// [`Scratch`], and inference steps lanes in lock-step through a
+/// caller-owned [`BatchScratch`], so steady-state training and scoring are
+/// allocation-free.
 ///
 /// # Example
 ///
@@ -564,93 +544,9 @@ impl LstmLayer {
         );
     }
 
-    /// Shared fused pointwise update for the online steps: consumes the
-    /// preactivation gate slab and advances `state`.
-    fn step_pointwise(h: usize, gates: &[f32], state: &mut LstmState) {
-        Self::step_pointwise_lane(h, gates, &mut state.c, &mut state.h);
-    }
-
-    /// One lane's pointwise update against split `c`/`h` slices — the shape
-    /// shared by [`LstmLayer::step_pointwise`] (one [`LstmState`]) and the
-    /// batched path (rows of an [`LstmBatchState`]). Keeping a single body
-    /// is what makes the per-lane arithmetic of the two paths identical by
-    /// construction.
-    // ibcm-lint: allow(transitive-panic, reason = "callers pass gates laid out as four h-blocks and h-long c/hv slices by LstmState construction")
-    fn step_pointwise_lane(h: usize, gates: &[f32], c: &mut [f32], hv: &mut [f32]) {
-        for j in 0..h {
-            let i_g = sigmoid(gates[j]);
-            let f_g = sigmoid(gates[h + j]);
-            let g_g = tanh_f(gates[2 * h + j]);
-            let o_g = sigmoid(gates[3 * h + j]);
-            c[j] = f_g * c[j] + i_g * g_g;
-            hv[j] = o_g * tanh_f(c[j]);
-        }
-    }
-
-    /// Advances `state` by one **dense** input vector (single-example online
-    /// inference in the upper layers of a stack).
-    ///
-    /// # Panics
-    ///
-    /// Panics if sizes disagree with the layer.
-    pub fn step_dense(&self, state: &mut LstmState, input: &[f32]) {
-        self.step_dense_scratch(state, input, &mut Scratch::new());
-    }
-
-    /// [`LstmLayer::step_dense`] reusing a caller-owned gate slab — the
-    /// allocation-free streaming-scorer path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if sizes disagree with the layer.
-    pub fn step_dense_scratch(&self, state: &mut LstmState, input: &[f32], scratch: &mut Scratch) {
-        let h = self.hidden;
-        assert_eq!(state.h.len(), h, "state size mismatch");
-        assert_eq!(input.len(), self.input_dim, "dense input width");
-        let gates = &mut scratch.gates;
-        gates.clear();
-        gates.extend_from_slice(&self.b);
-        self.wx.vecmat_acc_into(input, gates);
-        self.wh.vecmat_acc_into(&state.h, gates);
-        Self::step_pointwise(h, gates, state);
-    }
-
-    /// Advances `state` by one input (single-example online inference) and
-    /// returns nothing; read the new hidden vector via [`LstmState::hidden`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state size does not match the layer, or the action index
-    /// is out of range.
-    pub fn step(&self, state: &mut LstmState, input: StepInput) {
-        self.step_scratch(state, input, &mut Scratch::new());
-    }
-
-    /// [`LstmLayer::step`] reusing a caller-owned gate slab — the
-    /// allocation-free streaming-scorer path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state size does not match the layer, or the action index
-    /// is out of range.
-    pub fn step_scratch(&self, state: &mut LstmState, input: StepInput, scratch: &mut Scratch) {
-        let h = self.hidden;
-        assert_eq!(state.h.len(), h, "state size mismatch");
-        let gates = &mut scratch.gates;
-        gates.clear();
-        gates.extend_from_slice(&self.b);
-        if let StepInput::Action(a) = input {
-            assert!(a < self.input_dim, "action index {a} out of range");
-            for (g, &w) in gates.iter_mut().zip(self.wx.row(a).iter()) {
-                *g += w;
-            }
-        }
-        self.wh.vecmat_acc_into(&state.h, gates);
-        Self::step_pointwise(h, gates, state);
-    }
-
-    /// Copies the bias into every live row of the batch gate slab — the
-    /// batched analogue of `gates.extend_from_slice(&self.b)`.
+    /// Copies the bias into every live row of the batch gate slab: each
+    /// lane's preactivations start from the bias, then accumulate the input
+    /// and recurrent products.
     fn init_batch_gates(&self, lanes: usize, scratch: &mut BatchScratch) {
         let gates = &mut scratch.gates;
         gates.resize_zeroed(lanes, 4 * self.hidden);
@@ -659,27 +555,40 @@ impl LstmLayer {
         }
     }
 
-    /// The batched pointwise update: one [`LstmLayer::step_pointwise_lane`]
-    /// call per live row.
+    /// The pointwise cell update of every live lane: activates row `r` of
+    /// the gate slab and advances lane `r`'s cell and hidden vectors.
+    // ibcm-lint: allow(transitive-panic, reason = "gate rows are 4*hidden wide and state rows hidden wide, as both step entry points assert")
     fn step_batch_pointwise(&self, states: &mut LstmBatchState, scratch: &BatchScratch) {
         let h = self.hidden;
         let LstmBatchState { h: hm, c: cm } = states;
         for r in 0..hm.rows() {
-            Self::step_pointwise_lane(h, scratch.gates.row(r), cm.row_mut(r), hm.row_mut(r));
+            let gates = scratch.gates.row(r);
+            let c = cm.row_mut(r);
+            let hv = hm.row_mut(r);
+            for j in 0..h {
+                let i_g = sigmoid(gates[j]);
+                let f_g = sigmoid(gates[h + j]);
+                let g_g = tanh_f(gates[2 * h + j]);
+                let o_g = sigmoid(gates[3 * h + j]);
+                c[j] = f_g * c[j] + i_g * g_g;
+                hv[j] = o_g * tanh_f(c[j]);
+            }
         }
     }
 
-    /// Advances a batch of lanes by one step each, in lock-step — the
-    /// throughput analogue of [`LstmLayer::step_scratch`] for the bottom
-    /// (action-input) layer of a stack. `inputs[r]` is lane `r`'s input.
+    /// Advances a batch of lanes by one step each, in lock-step, through
+    /// the bottom (action-input) layer of a stack. `inputs[r]` is lane
+    /// `r`'s input. This is the one inference step: the streaming scorer
+    /// runs it at one lane, the batched scorer at one lane per session.
     ///
     /// One weight-matrix traversal (`wh` here, plus one `wx` row gather per
     /// acting lane) serves the whole batch, which is where the batched
-    /// scorer's speedup comes from; per lane the sequence of rounded
-    /// floating-point operations is exactly `step_scratch`'s, so every
-    /// lane's state stays bit-identical to stepping that session alone. A
-    /// [`StepInput::Pad`] lane gets the bias-only input, identical to
-    /// `step_scratch(state, StepInput::Pad, ..)`.
+    /// scorer's speedup comes from. Per lane the gate preactivations are
+    /// the bias, plus the action's `wx` row, plus the `wh` product
+    /// accumulated in ascending order, and no lane reads another lane's
+    /// row; so lane `r` of an N-lane step is bit-identical to a one-lane
+    /// step of that session. A [`StepInput::Pad`] lane gets the bias-only
+    /// input.
     ///
     /// # Panics
     ///
@@ -690,16 +599,16 @@ impl LstmLayer {
     /// # Example
     ///
     /// ```
-    /// use ibcm_nn::{BatchScratch, LstmBatchState, LstmLayer, LstmState, Scratch, StepInput};
+    /// use ibcm_nn::{BatchScratch, LstmBatchState, LstmLayer, StepInput};
     /// let lstm = LstmLayer::new(6, 4, 9);
+    /// let mut bs = BatchScratch::new();
     /// // Two lanes in lock-step ...
     /// let mut batch = LstmBatchState::new(2, 4);
-    /// let mut bs = BatchScratch::new();
     /// lstm.step_batch_scratch(&mut batch, &[StepInput::Action(1), StepInput::Action(5)], &mut bs);
     /// // ... match the same sessions stepped one at a time, bit for bit.
-    /// let mut solo = LstmState::new(4);
-    /// lstm.step_scratch(&mut solo, StepInput::Action(5), &mut Scratch::new());
-    /// assert_eq!(batch.hiddens().row(1), solo.hidden());
+    /// let mut solo = LstmBatchState::new(1, 4);
+    /// lstm.step_batch_scratch(&mut solo, &[StepInput::Action(5)], &mut bs);
+    /// assert_eq!(batch.hiddens().row(1), solo.hiddens().row(0));
     /// ```
     pub fn step_batch_scratch(
         &self,
@@ -724,15 +633,13 @@ impl LstmLayer {
     }
 
     /// Advances a batch of lanes by one **dense** input row each, in
-    /// lock-step — the throughput analogue of
-    /// [`LstmLayer::step_dense_scratch`] for the upper layers of a stack.
-    /// Row `r` of `inputs` is lane `r`'s input vector (typically the
-    /// [`LstmBatchState::hiddens`] of the layer below).
+    /// lock-step, through an upper layer of a stack. Row `r` of `inputs` is
+    /// lane `r`'s input vector (typically the [`LstmBatchState::hiddens`]
+    /// of the layer below).
     ///
-    /// Per lane the accumulation order matches `step_dense_scratch` exactly
-    /// (bias, then the `wx` product, then the `wh` product, each reduction
-    /// in ascending order), so results are bit-identical to the per-session
-    /// path.
+    /// Per lane the preactivations are the bias, then the `wx` product,
+    /// then the `wh` product, each reduction in ascending order, so lane
+    /// `r` is bit-identical to a one-lane step of that session.
     ///
     /// # Panics
     ///
@@ -758,30 +665,36 @@ impl LstmLayer {
 mod tests {
     use super::*;
 
-    /// The batched lock-step path must be bitwise identical, lane by lane,
-    /// to stepping each session alone.
+    /// Steps each session alone, one lane, through a two-layer stack,
+    /// reusing `scratch`; returns each layer's final hidden row.
+    fn solo_run(
+        bottom: &LstmLayer,
+        upper: &LstmLayer,
+        session: &[usize],
+        scratch: &mut BatchScratch,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let mut st0 = LstmBatchState::new(1, bottom.hidden());
+        let mut st1 = LstmBatchState::new(1, upper.hidden());
+        for &a in session {
+            bottom.step_batch_scratch(&mut st0, &[StepInput::Action(a)], scratch);
+            upper.step_batch_dense_scratch(&mut st1, st0.hiddens(), scratch);
+        }
+        (st0.hiddens().row(0).to_vec(), st1.hiddens().row(0).to_vec())
+    }
+
+    /// Lane `r` of an N-lane lock-step run must be bitwise identical to a
+    /// one-lane run of session `r` alone. The one-lane runs reuse the
+    /// scratch the N-lane run left at its widest shape.
     #[test]
     fn step_batch_matches_per_lane_steps() {
         let bottom = LstmLayer::new(7, 5, 21);
         let upper = LstmLayer::new(5, 5, 22);
         let sessions: [&[usize]; 3] = [&[0, 3, 6, 2, 5], &[1, 4, 2], &[6]];
-        // Per-session trajectories through the two-layer stack.
-        let mut solo: Vec<(LstmState, LstmState)> = sessions
-            .iter()
-            .map(|_| (LstmState::new(5), LstmState::new(5)))
-            .collect();
-        let mut scratch = Scratch::new();
-        for (s, (st0, st1)) in sessions.iter().zip(solo.iter_mut()) {
-            for &a in s.iter() {
-                bottom.step_scratch(st0, StepInput::Action(a), &mut scratch);
-                let hidden = st0.hidden().to_vec();
-                upper.step_dense_scratch(st1, &hidden, &mut scratch);
-            }
-        }
-        // The same sessions in lock-step, retiring lanes as they end.
+        // The sessions in lock-step, retiring lanes as they end.
         let mut b0 = LstmBatchState::new(sessions.len(), 5);
         let mut b1 = LstmBatchState::new(sessions.len(), 5);
         let mut bs = BatchScratch::new();
+        let mut finals: Vec<(Vec<f32>, Vec<f32>)> = vec![Default::default(); sessions.len()];
         let max_len = sessions.iter().map(|s| s.len()).max().unwrap();
         for t in 0..max_len {
             let active = sessions.iter().filter(|s| s.len() > t).count();
@@ -796,12 +709,12 @@ mod tests {
             upper.step_batch_dense_scratch(&mut b1, &below, &mut bs);
             for r in 0..active {
                 if sessions[r].len() == t + 1 {
-                    // This lane just fed its last action; its final state
-                    // must match the solo run exactly.
-                    assert_eq!(b0.hiddens().row(r), solo[r].0.hidden(), "lane {r}");
-                    assert_eq!(b1.hiddens().row(r), solo[r].1.hidden(), "lane {r}");
+                    finals[r] = (b0.hiddens().row(r).to_vec(), b1.hiddens().row(r).to_vec());
                 }
             }
+        }
+        for (r, s) in sessions.iter().enumerate() {
+            assert_eq!(solo_run(&bottom, &upper, s, &mut bs), finals[r], "lane {r}");
         }
     }
 
@@ -814,9 +727,9 @@ mod tests {
             &[StepInput::Pad, StepInput::Action(2)],
             &mut BatchScratch::new(),
         );
-        let mut solo = LstmState::new(3);
-        lstm.step_scratch(&mut solo, StepInput::Pad, &mut Scratch::new());
-        assert_eq!(batch.hiddens().row(0), solo.hidden());
+        let mut solo = LstmBatchState::new(1, 3);
+        lstm.step_batch_scratch(&mut solo, &[StepInput::Pad], &mut BatchScratch::new());
+        assert_eq!(batch.hiddens().row(0), solo.hiddens().row(0));
     }
 
     #[test]
@@ -879,26 +792,31 @@ mod tests {
         let seq = [StepInput::Action(1), StepInput::Action(4), StepInput::Pad, StepInput::Action(0)];
         let batch: Vec<Vec<StepInput>> = seq.iter().map(|&s| vec![s]).collect();
         let cache = lstm.forward(&batch);
-        let mut state = LstmState::new(4);
+        let mut state = LstmBatchState::new(1, 4);
+        let mut scratch = BatchScratch::new();
         for (t, &s) in seq.iter().enumerate() {
-            lstm.step(&mut state, s);
+            lstm.step_batch_scratch(&mut state, &[s], &mut scratch);
             let expected = cache.hiddens()[t].row(0);
-            for (a, b) in state.hidden().iter().zip(expected.iter()) {
+            for (a, b) in state.hiddens().row(0).iter().zip(expected.iter()) {
                 assert!((a - b).abs() < 1e-5, "step {t}: {a} vs {b}");
             }
         }
     }
 
+    /// A scratch slab left wider by an earlier step must not leak into a
+    /// later, narrower one: reused and fresh workspaces give the same bits.
     #[test]
-    fn step_scratch_matches_step_exactly() {
+    fn reused_batch_scratch_matches_fresh_exactly() {
         let lstm = LstmLayer::new(5, 4, 9);
         let seq = [StepInput::Action(1), StepInput::Action(4), StepInput::Pad, StepInput::Action(0)];
-        let mut fresh = LstmState::new(4);
-        let mut reused = LstmState::new(4);
-        let mut scratch = Scratch::new();
+        let mut reused_scratch = BatchScratch::new();
+        let mut wide = LstmBatchState::new(3, 4);
+        lstm.step_batch_scratch(&mut wide, &[StepInput::Action(2); 3], &mut reused_scratch);
+        let mut fresh = LstmBatchState::new(1, 4);
+        let mut reused = LstmBatchState::new(1, 4);
         for &s in &seq {
-            lstm.step(&mut fresh, s);
-            lstm.step_scratch(&mut reused, s, &mut scratch);
+            lstm.step_batch_scratch(&mut fresh, &[s], &mut BatchScratch::new());
+            lstm.step_batch_scratch(&mut reused, &[s], &mut reused_scratch);
             assert_eq!(fresh, reused, "scratch reuse must be bit-identical");
         }
     }
@@ -998,10 +916,11 @@ mod tests {
             .map(|t| Matrix::from_rows(&[&[0.3 * t as f32, -0.1, 0.7]]))
             .collect();
         let (cache, _) = lstm.forward_dense(&inputs);
-        let mut state = LstmState::new(4);
+        let mut state = LstmBatchState::new(1, 4);
+        let mut scratch = BatchScratch::new();
         for (t, x) in inputs.iter().enumerate() {
-            lstm.step_dense(&mut state, x.row(0));
-            for (a, b) in state.hidden().iter().zip(cache.hiddens()[t].row(0)) {
+            lstm.step_batch_dense_scratch(&mut state, x, &mut scratch);
+            for (a, b) in state.hiddens().row(0).iter().zip(cache.hiddens()[t].row(0)) {
                 assert!((a - b).abs() < 1e-5, "step {t}");
             }
         }
@@ -1010,13 +929,16 @@ mod tests {
     #[test]
     fn state_reset_matches_fresh_state() {
         let lstm = LstmLayer::new(3, 4, 35);
-        let mut reused = LstmState::new(4);
-        lstm.step(&mut reused, StepInput::Action(1));
-        lstm.step(&mut reused, StepInput::Action(2));
+        let mut scratch = BatchScratch::new();
+        let mut reused = LstmBatchState::new(2, 4);
+        let pair = [StepInput::Action(1), StepInput::Action(2)];
+        lstm.step_batch_scratch(&mut reused, &pair, &mut scratch);
+        lstm.step_batch_scratch(&mut reused, &pair, &mut scratch);
         reused.reset();
-        let mut fresh = LstmState::new(4);
-        lstm.step(&mut reused, StepInput::Action(0));
-        lstm.step(&mut fresh, StepInput::Action(0));
+        assert_eq!(reused, LstmBatchState::new(2, 4));
+        let mut fresh = LstmBatchState::new(2, 4);
+        lstm.step_batch_scratch(&mut reused, &pair, &mut scratch);
+        lstm.step_batch_scratch(&mut fresh, &pair, &mut scratch);
         assert_eq!(reused, fresh);
     }
 

@@ -193,7 +193,8 @@ impl Matrix {
     /// weight rows is streamed from memory once per row block instead of
     /// once per output row — the reuse the lock-step batch scorer depends
     /// on (`other` is the weight matrix there, and it is larger than L2 at
-    /// paper shape). Per output element the products are still added in
+    /// paper shape). With one row of `self` it is the streaming scorer's
+    /// matvec. Per output element the products are still added in
     /// ascending-k order, one rounded addition each, so the result is
     /// bit-identical to [`reference::matmul_acc_into`] for finite inputs.
     /// (The reference kernel skips zero elements of `self`, so `0.0 * inf`
@@ -406,42 +407,6 @@ impl Matrix {
                 let orow = &mut out.data[r * self.cols..(r + 1) * self.cols];
                 kernels::row_add(orow, wrow);
             }
-        }
-    }
-
-    /// `y += x^T * self` for a single row vector: `y[j] += Σ_r x[r] *
-    /// self[r][j]`. This is the matvec of the online scoring path (`self` a
-    /// `rows x cols` weight matrix, `x` the input/hidden vector).
-    ///
-    /// The optimized kernel unrolls the reduction four-wide with in-order
-    /// additions per output element — bit-identical to
-    /// [`reference::vecmat_acc_into`] for finite inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != rows` or `y.len() != cols`.
-    // ibcm-lint: allow(transitive-panic, reason = "shapes are asserted on entry; every block index is derived from them")
-    pub fn vecmat_acc_into(&self, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.rows, "vecmat input length");
-        assert_eq!(y.len(), self.cols, "vecmat output length");
-        let n = self.cols;
-        let w = &self.data;
-        let mut r = 0;
-        while r + 4 <= x.len() {
-            let xv = [x[r], x[r + 1], x[r + 2], x[r + 3]];
-            kernels::axpy4(
-                y,
-                xv,
-                &w[r * n..(r + 1) * n],
-                &w[(r + 1) * n..(r + 2) * n],
-                &w[(r + 2) * n..(r + 3) * n],
-                &w[(r + 3) * n..(r + 4) * n],
-            );
-            r += 4;
-        }
-        while r < x.len() {
-            kernels::axpy1(y, x[r], &w[r * n..(r + 1) * n]);
-            r += 1;
         }
     }
 
@@ -1132,24 +1097,6 @@ pub mod reference {
             }
         }
     }
-
-    /// Naive `y += x^T * w` matvec (zero-skip over `x`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree.
-    pub fn vecmat_acc_into(w: &Matrix, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), w.rows, "vecmat input length");
-        assert_eq!(y.len(), w.cols, "vecmat output length");
-        for (r, &xv) in x.iter().enumerate() {
-            if xv == 0.0 {
-                continue;
-            }
-            for (o, &wv) in y.iter_mut().zip(w.row(r).iter()) {
-                *o += xv * wv;
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for Matrix {
@@ -1285,16 +1232,6 @@ mod tests {
         let table = Matrix::zeros(4, 2);
         let mut out = Matrix::zeros(1, 2);
         table.onehot_matmul_acc_into(&[Some(9)], &mut out);
-    }
-
-    #[test]
-    fn vecmat_matches_matmul() {
-        let w = Matrix::uniform(6, 5, 1.0, 21);
-        let x = Matrix::uniform(1, 6, 1.0, 22);
-        let expected = x.matmul(&w);
-        let mut y = vec![0.0f32; 5];
-        w.vecmat_acc_into(x.row(0), &mut y);
-        assert_eq!(&y[..], expected.row(0));
     }
 
     #[test]

@@ -1,37 +1,34 @@
 use crate::matrix::Matrix;
 
-/// Reusable workspace for the allocation-free compute paths.
+/// Reusable workspace for the allocation-free training passes.
 ///
-/// One `Scratch` holds every intermediate buffer the LSTM layers need
-/// outside their parameter and cache storage: the fused gate slab for
-/// online steps, the one-hot gather indices for the batched embedding
-/// step, and the backward-pass temporaries (`d_gates`, the cell/hidden
-/// recurrence gradients, and the per-step weight-gradient staging
-/// matrix). Buffers grow on first use and are reused afterwards, so
-/// steady-state training and streaming scoring perform no heap
-/// allocation per step.
+/// One `Scratch` holds every intermediate buffer the LSTM layers' forward
+/// and backward passes need outside their parameter and cache storage: the
+/// one-hot gather indices for the embedding step, and the backward-pass
+/// temporaries (`d_gates`, the cell/hidden recurrence gradients, and the
+/// all-zero pre-sequence state). Buffers grow on first use and are reused
+/// afterwards, so steady-state training performs no heap allocation per
+/// batch.
 ///
 /// The same instance may be threaded through any mix of
-/// [`LstmLayer::forward_into`](crate::LstmLayer::forward_into),
-/// [`LstmLayer::backward_into`](crate::LstmLayer::backward_into), the
-/// online `step_scratch` family, and the fused softmax head; each call
-/// resets the portions it uses.
+/// [`LstmLayer::forward_into`](crate::LstmLayer::forward_into) and
+/// [`LstmLayer::backward_into`](crate::LstmLayer::backward_into); each
+/// call resets the portions it uses. Inference steps use [`BatchScratch`].
 ///
 /// # Example
 ///
 /// ```
-/// use ibcm_nn::{LstmLayer, LstmState, Scratch, StepInput};
+/// use ibcm_nn::{LstmCache, LstmLayer, Scratch, StepInput};
 /// let lstm = LstmLayer::new(10, 8, 1);
-/// let mut state = LstmState::new(8);
+/// let mut cache = LstmCache::default();
 /// let mut scratch = Scratch::new();
-/// lstm.step_scratch(&mut state, StepInput::Action(3), &mut scratch);
-/// lstm.step_scratch(&mut state, StepInput::Action(7), &mut scratch);
-/// assert_eq!(state.hidden().len(), 8);
+/// let steps = vec![vec![StepInput::Action(3)], vec![StepInput::Action(7)]];
+/// lstm.forward_into(&steps, &mut cache, &mut scratch);
+/// lstm.forward_into(&steps[..1], &mut cache, &mut scratch);
+/// assert_eq!(cache.steps(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    /// Fused `4*hidden` gate slab for single-example online steps.
-    pub(crate) gates: Vec<f32>,
     /// One-hot gather indices for the batched embedding step.
     pub(crate) hot: Vec<Option<usize>>,
     /// Gate gradients for one BPTT step (`batch x 4*hidden`).
@@ -52,29 +49,34 @@ impl Scratch {
     }
 }
 
-/// Reusable workspace for the lock-step **batched** inference path.
+/// Reusable workspace for the lock-step inference step.
 ///
-/// Where [`Scratch`] carries the `4*hidden` gate slab of a single-example
-/// online step, `BatchScratch` carries the batch-major `lanes x 4*hidden`
-/// slab that [`LstmLayer::step_batch_scratch`](crate::LstmLayer::step_batch_scratch)
-/// drives through the weight matrices once per timestep for the whole
-/// batch. The slab is resized in place, so steady-state batched scoring
-/// performs no heap allocation per step once the widest bucket has been
-/// seen.
+/// `BatchScratch` carries the batch-major `lanes x 4*hidden` gate slab that
+/// [`LstmLayer::step_batch_scratch`](crate::LstmLayer::step_batch_scratch)
+/// and [`LstmLayer::step_batch_dense_scratch`](crate::LstmLayer::step_batch_dense_scratch)
+/// drive through the weight matrices once per timestep for the whole batch.
+/// The streaming scorer keeps one at one lane; the batched scorer reuses
+/// one across buckets. The slab is resized in place, so steady-state
+/// scoring performs no heap allocation per step once the widest batch has
+/// been seen.
 ///
 /// # Example
 ///
 /// ```
 /// use ibcm_nn::{BatchScratch, LstmBatchState, LstmLayer, StepInput};
 /// let lstm = LstmLayer::new(10, 8, 1);
-/// let mut states = LstmBatchState::new(2, 8);
 /// let mut scratch = BatchScratch::new();
+/// // Two sessions in lock-step ...
+/// let mut states = LstmBatchState::new(2, 8);
 /// lstm.step_batch_scratch(
 ///     &mut states,
 ///     &[StepInput::Action(3), StepInput::Action(7)],
 ///     &mut scratch,
 /// );
-/// assert_eq!(states.lanes(), 2);
+/// // ... and one streaming session, through the same workspace.
+/// let mut stream = LstmBatchState::new(1, 8);
+/// lstm.step_batch_scratch(&mut stream, &[StepInput::Action(7)], &mut scratch);
+/// assert_eq!(states.hiddens().row(1), stream.hiddens().row(0));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {

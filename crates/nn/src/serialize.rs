@@ -82,15 +82,26 @@ impl<'a> SliceReader<'a> {
     /// Returns [`NnError::Deserialize`] (naming `what`) if fewer than `n`
     /// bytes remain.
     pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], NnError> {
-        if self.buf.len() < n {
-            return Err(NnError::Deserialize(format!(
-                "{what} truncated: need {n} bytes, have {}",
-                self.buf.len()
-            )));
+        let buf = self.buf;
+        match buf.split_at_checked(n) {
+            Some((head, tail)) => {
+                self.buf = tail;
+                Ok(head)
+            }
+            None => Err(truncated(what, n, buf.len())),
         }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
+    }
+
+    /// Takes the next `N` bytes by value — the fixed-width reads below.
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], NnError> {
+        let buf = self.buf;
+        match buf.split_first_chunk::<N>() {
+            Some((head, tail)) => {
+                self.buf = tail;
+                Ok(*head)
+            }
+            None => Err(truncated(what, N, buf.len())),
+        }
     }
 
     /// Reads one byte.
@@ -99,7 +110,8 @@ impl<'a> SliceReader<'a> {
     ///
     /// Returns [`NnError::Deserialize`] on truncation.
     pub fn u8(&mut self, what: &str) -> Result<u8, NnError> {
-        Ok(self.take(1, what)?[0])
+        let [b] = self.array(what)?;
+        Ok(b)
     }
 
     /// Reads a little-endian `u32`.
@@ -108,8 +120,7 @@ impl<'a> SliceReader<'a> {
     ///
     /// Returns [`NnError::Deserialize`] on truncation.
     pub fn u32_le(&mut self, what: &str) -> Result<u32, NnError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.array(what).map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
@@ -118,10 +129,7 @@ impl<'a> SliceReader<'a> {
     ///
     /// Returns [`NnError::Deserialize`] on truncation.
     pub fn u64_le(&mut self, what: &str) -> Result<u64, NnError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        self.array(what).map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `f32`.
@@ -130,8 +138,7 @@ impl<'a> SliceReader<'a> {
     ///
     /// Returns [`NnError::Deserialize`] on truncation.
     pub fn f32_le(&mut self, what: &str) -> Result<f32, NnError> {
-        let b = self.take(4, what)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.array(what).map(f32::from_le_bytes)
     }
 
     /// Reads `n` little-endian `f32`s in one bulk pass — the only place the
@@ -150,6 +157,10 @@ impl<'a> SliceReader<'a> {
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect())
     }
+}
+
+fn truncated(what: &str, need: usize, have: usize) -> NnError {
+    NnError::Deserialize(format!("{what} truncated: need {need} bytes, have {have}"))
 }
 
 /// Reads and validates the bundle header written by [`write_header`],

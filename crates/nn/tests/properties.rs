@@ -4,8 +4,8 @@
 //! suite's oracle.
 
 use ibcm_nn::{
-    clip_global_norm, reference, softmax_in_place, LstmLayer, LstmState, Matrix, Scratch,
-    StepInput,
+    clip_global_norm, reference, softmax_in_place, BatchScratch, LstmBatchState, LstmLayer,
+    Matrix, StepInput,
 };
 use proptest::prelude::*;
 
@@ -22,10 +22,6 @@ fn maybe_index(n: usize) -> impl Strategy<Value = Option<usize>> {
 /// Raw bit patterns, so `-0.0 != +0.0` and exact rounding is compared.
 fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
-}
-
-fn slice_bits(s: &[f32]) -> Vec<u32> {
-    s.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -145,24 +141,6 @@ proptest! {
         prop_assert_eq!(bits(&fast), bits(&naive));
     }
 
-    /// Optimized `y += x^T * w` is bit-identical to the naive reference,
-    /// including inputs containing exact zeros (the reference skips them).
-    #[test]
-    fn vecmat_acc_matches_reference_bitwise(
-        (w, x, seed) in (0usize..7, 0usize..7)
-            .prop_flat_map(|(r, c)| (
-                matrix(r, c),
-                prop::collection::vec(prop_oneof![Just(0.0f32), -3.0f32..3.0], r),
-                prop::collection::vec(-3.0f32..3.0, c),
-            ))
-    ) {
-        let mut fast = seed.clone();
-        let mut naive = seed;
-        w.vecmat_acc_into(&x, &mut fast);
-        reference::vecmat_acc_into(&w, &x, &mut naive);
-        prop_assert_eq!(slice_bits(&fast), slice_bits(&naive));
-    }
-
     /// The one-hot embedding kernel agrees bit-for-bit with materializing
     /// the one-hot matrix and running the reference matmul.
     #[test]
@@ -187,61 +165,62 @@ proptest! {
         prop_assert_eq!(bits(&fast), bits(&naive));
     }
 
-    /// `step`/`step_scratch` replay `forward`'s unrolled hidden states after
-    /// the gate fusion — one-hot, padded, and mixed inputs. The online path
-    /// assembles gate preactivations bias-first (as it always has), so the
-    /// agreement is to rounding tolerance, not bitwise.
+    /// The lock-step inference step replays `forward`'s unrolled hidden
+    /// states, at one lane and at several — one-hot, padded, and mixed
+    /// inputs. The step assembles gate preactivations bias-first, the
+    /// training forward bias-last, so the agreement is to rounding
+    /// tolerance, not bitwise.
     #[test]
     fn step_matches_forward_unroll(
-        (vocab, hidden, seed, steps) in (1usize..5, 1usize..6, any::<u64>())
-            .prop_flat_map(|(v, h, s)| (
+        (vocab, hidden, seed, steps) in (1usize..5, 1usize..6, any::<u64>(), 1usize..4)
+            .prop_flat_map(|(v, h, s, lanes)| (
                 Just(v),
                 Just(h),
                 Just(s),
-                prop::collection::vec(maybe_index(v), 1..8),
+                prop::collection::vec(prop::collection::vec(maybe_index(v), lanes), 1..8),
             ))
     ) {
         let layer = LstmLayer::new(vocab, hidden, seed);
         let inputs: Vec<Vec<StepInput>> = steps
             .iter()
-            .map(|s| vec![s.map_or(StepInput::Pad, StepInput::Action)])
+            .map(|row| row.iter().map(|s| s.map_or(StepInput::Pad, StepInput::Action)).collect())
             .collect();
         let cache = layer.forward(&inputs);
-        let mut state = LstmState::new(hidden);
-        let mut scratch = Scratch::new();
-        for (t, s) in steps.iter().enumerate() {
-            let input = s.map_or(StepInput::Pad, StepInput::Action);
-            layer.step_scratch(&mut state, input, &mut scratch);
-            for (a, b) in state.hidden().iter().zip(cache.hiddens()[t].row(0)) {
+        let mut state = LstmBatchState::new(inputs[0].len(), hidden);
+        let mut scratch = BatchScratch::new();
+        for (t, row) in inputs.iter().enumerate() {
+            layer.step_batch_scratch(&mut state, row, &mut scratch);
+            for (a, b) in state.hiddens().as_slice().iter().zip(cache.hiddens()[t].as_slice()) {
                 prop_assert!((a - b).abs() < 1e-5, "step {}: {} vs {}", t, a, b);
             }
         }
     }
 
-    /// `step_dense`/`step_dense_scratch` replay `forward_dense`'s unrolled
-    /// hidden states to rounding tolerance (bias-first gate assembly, as
-    /// above).
+    /// The dense lock-step step replays `forward_dense`'s unrolled hidden
+    /// states to rounding tolerance (bias-first gate assembly, as above),
+    /// at one lane and at several.
     #[test]
     fn step_dense_matches_forward_dense_unroll(
-        (dim, hidden, seed, rows) in (1usize..5, 1usize..6, any::<u64>())
-            .prop_flat_map(|(d, h, s)| (
+        (dim, hidden, seed, lanes, rows) in (1usize..5, 1usize..6, any::<u64>(), 1usize..4)
+            .prop_flat_map(|(d, h, s, lanes)| (
                 Just(d),
                 Just(h),
                 Just(s),
-                prop::collection::vec(prop::collection::vec(-2.0f32..2.0, d), 1..8),
+                Just(lanes),
+                prop::collection::vec(prop::collection::vec(-2.0f32..2.0, d * lanes), 1..8),
             ))
     ) {
         let layer = LstmLayer::new(dim, hidden, seed);
         let inputs: Vec<Matrix> = rows
             .iter()
-            .map(|r| Matrix::from_vec(1, dim, r.clone()))
+            .map(|r| Matrix::from_vec(lanes, dim, r.clone()))
             .collect();
         let (cache, _) = layer.forward_dense(&inputs);
-        let mut state = LstmState::new(hidden);
-        let mut scratch = Scratch::new();
-        for (t, r) in rows.iter().enumerate() {
-            layer.step_dense_scratch(&mut state, r, &mut scratch);
-            for (a, b) in state.hidden().iter().zip(cache.hiddens()[t].row(0)) {
+        let mut state = LstmBatchState::new(lanes, hidden);
+        let mut scratch = BatchScratch::new();
+        for (t, x) in inputs.iter().enumerate() {
+            layer.step_batch_dense_scratch(&mut state, x, &mut scratch);
+            for (a, b) in state.hiddens().as_slice().iter().zip(cache.hiddens()[t].as_slice()) {
                 prop_assert!((a - b).abs() < 1e-5, "dense step {}: {} vs {}", t, a, b);
             }
         }
@@ -285,14 +264,6 @@ fn degenerate_shapes_match_reference_bitwise() {
         a.matmul_t_into(&bt, &mut fast);
         reference::matmul_t_into(&a, &bt, &mut naive);
         assert_eq!(bits(&fast), bits(&naive), "matmul_t {m}x{k}x{n}");
-
-        let x: Vec<f32> = Matrix::uniform(1, m, 1.0, 10).as_slice().to_vec();
-        let y: Vec<f32> = Matrix::uniform(1, k, 1.0, 11).as_slice().to_vec();
-        let mut fast = y.clone();
-        let mut naive = y.clone();
-        a.vecmat_acc_into(&x, &mut fast);
-        reference::vecmat_acc_into(&a, &x, &mut naive);
-        assert_eq!(slice_bits(&fast), slice_bits(&naive), "vecmat {m}x{k}");
     }
 }
 
@@ -318,7 +289,7 @@ fn operand(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 /// The randomized sweeps above draw dimensions below 7, which never leave
-/// the scalar tails. This grid drives all five kernel entry points through
+/// the scalar tails. This grid drives all four kernel entry points through
 /// every SIMD loop body (both vector widths, the `axpy8` block, a second
 /// row block) and checks each against the reference bit for bit.
 #[test]
@@ -353,15 +324,6 @@ fn simd_shapes_match_reference_bitwise() {
                 a.matmul_t_into(&bt, &mut fast);
                 reference::matmul_t_into(&a, &bt, &mut naive);
                 assert_eq!(bits(&fast), bits(&naive), "matmul_t {m}x{k}x{n}");
-
-                // `y (n) += x (k)^T * b`.
-                let x = operand(1, k, 7);
-                let y = Matrix::uniform(1, n, 1.0, 8);
-                let mut fast = y.row(0).to_vec();
-                let mut naive = y.row(0).to_vec();
-                b.vecmat_acc_into(x.row(0), &mut fast);
-                reference::vecmat_acc_into(&b, x.row(0), &mut naive);
-                assert_eq!(slice_bits(&fast), slice_bits(&naive), "vecmat {k}x{n}");
 
                 // One-hot rows of `b` added into `m` output rows, against
                 // the reference product with the materialized one-hot.

@@ -3,8 +3,8 @@
 //!
 //! Instrumented crates register through these definitions rather than ad
 //! hoc strings, so the exported surface is enumerable: `OPERATIONS.md`
-//! documents exactly this list, and the `catalog` test plus the CI `docs`
-//! job fail when the two drift apart.
+//! documents exactly this list, and the `catalog` test plus `ibcm-lint`'s
+//! `metric-*` rules fail when the two drift apart.
 
 use crate::metrics::{global, Counter, Gauge, Histogram, MetricKind};
 

@@ -1,7 +1,8 @@
 //! The metric catalog and the operator runbook must not drift apart:
 //! every metric in `ibcm_obs::names::ALL` has to appear, by exact name,
-//! in `OPERATIONS.md`'s catalog tables. The CI `docs` job runs the same
-//! check as a grep so doc-only patches fail fast too.
+//! in `OPERATIONS.md`'s catalog tables. `ibcm-lint`'s
+//! `metric-undocumented` rule runs the same check from the catalog source,
+//! next to `metric-unemitted` and `metric-literal-escape`.
 
 use ibcm_obs::names::ALL;
 

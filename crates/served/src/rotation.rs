@@ -96,24 +96,18 @@ pub(crate) struct Generation {
 ///
 /// `Disk` is the production backend (one directory per shard, atomic
 /// tmp-write + rename); `Memory` keeps the same envelopes in a map for
-/// hermetic tests; `Disabled` turns checkpointing off entirely — crashed
-/// shards then restore fresh and replay their whole history from the
-/// supervisor's replay buffer.
+/// hermetic tests.
 #[derive(Debug)]
 pub enum CheckpointStore {
     /// Generations under `<root>/shard-<i>/gen-<seq>.ibcq`.
     Disk(PathBuf),
     /// Generations held in memory, keyed by `(shard, covered_seq)`.
     Memory(Mutex<BTreeMap<(usize, u64), Vec<u8>>>),
-    /// No checkpoints; restore is always fresh + full replay.
-    Disabled,
 }
 
 /// What a successful save reports back to the worker.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SaveReceipt {
-    /// Whether a generation was actually written (false when disabled).
-    pub(crate) written: bool,
     /// Covered seq of the *oldest* generation retained after pruning —
     /// the durable floor below which the supervisor may trim its replay
     /// buffer (restoring any retained generation only needs commands
@@ -130,11 +124,6 @@ impl CheckpointStore {
     /// An in-memory store (hermetic tests).
     pub fn memory() -> Self {
         CheckpointStore::Memory(Mutex::new(BTreeMap::new()))
-    }
-
-    /// A disabled store: no checkpoints, full replay on restart.
-    pub fn disabled() -> Self {
-        CheckpointStore::Disabled
     }
 
     fn shard_dir(root: &Path, shard: usize) -> PathBuf {
@@ -165,7 +154,6 @@ impl CheckpointStore {
                 map.retain(|(s, _), _| *s != shard);
                 Ok(())
             }
-            CheckpointStore::Disabled => Ok(()),
         }
     }
 
@@ -206,7 +194,6 @@ impl CheckpointStore {
                 }
                 let oldest = seqs.iter().take(keep).copied().min().unwrap_or(covered_seq);
                 Ok(SaveReceipt {
-                    written: true,
                     oldest_retained: oldest,
                 })
             }
@@ -221,14 +208,9 @@ impl CheckpointStore {
                 }
                 let oldest = seqs.iter().take(keep).copied().min().unwrap_or(covered_seq);
                 Ok(SaveReceipt {
-                    written: true,
                     oldest_retained: oldest,
                 })
             }
-            CheckpointStore::Disabled => Ok(SaveReceipt {
-                written: false,
-                oldest_retained: 0,
-            }),
         }
     }
 
@@ -261,7 +243,6 @@ impl CheckpointStore {
                 let map = map.lock().unwrap_or_else(|e| e.into_inner());
                 Ok(map.range((shard, 0)..=(shard, u64::MAX)).map(|((_, s), _)| *s).collect())
             }
-            CheckpointStore::Disabled => Ok(Vec::new()),
         }
     }
 
@@ -286,7 +267,6 @@ impl CheckpointStore {
                         None => continue,
                     }
                 }
-                CheckpointStore::Disabled => continue,
             };
             if let Some((covered_seq, ibcs)) = decode(shard, &frame) {
                 out.push(Generation { covered_seq, ibcs });
@@ -325,7 +305,6 @@ impl CheckpointStore {
                     None => false,
                 }
             }
-            CheckpointStore::Disabled => false,
         }
     }
 }
@@ -382,15 +361,6 @@ mod tests {
         assert_eq!(gens.len(), 1);
         assert_eq!(gens[0].covered_seq, 10);
     }
-
-    #[test]
-    fn disabled_store_is_inert() {
-        let store = CheckpointStore::disabled();
-        let receipt = store.save(0, 10, b"a", 3).unwrap();
-        assert!(!receipt.written);
-        assert!(store.valid_generations(0).unwrap().is_empty());
-        assert!(!store.corrupt_newest(0));
-    }
 }
 
 /// Model-based property tests: an op sequence of saves, newest-generation
@@ -444,7 +414,6 @@ mod props {
                 fs::create_dir_all(&dir).unwrap();
                 fs::write(CheckpointStore::gen_path(root, SHARD, seq), bytes).unwrap();
             }
-            CheckpointStore::Disabled => {}
         }
     }
 
@@ -458,7 +427,6 @@ mod props {
                 Op::Save { seq_step, payload } => {
                     seq += seq_step;
                     let receipt = store.save(SHARD, seq, payload, keep).unwrap();
-                    assert!(receipt.written);
                     model.insert(seq, encode(SHARD, seq, payload));
                     while model.len() > keep.max(1) {
                         let oldest = *model.keys().next().unwrap();

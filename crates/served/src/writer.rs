@@ -200,12 +200,10 @@ fn writer_loop(
         shared.idle.notify_all();
         match store.save(shard, job.covered_seq, &job.ibcs, keep) {
             Ok(receipt) => {
-                if receipt.written {
-                    metrics.checkpoints_written.inc();
-                    shard_shared
-                        .durable_floor
-                        .store(receipt.oldest_retained, Ordering::Release);
-                }
+                metrics.checkpoints_written.inc();
+                shard_shared
+                    .durable_floor
+                    .store(receipt.oldest_retained, Ordering::Release);
             }
             Err(_) => {
                 metrics.checkpoints_failed.inc();
