@@ -61,9 +61,12 @@ pub struct MonitorEvent {
 
 /// Action-by-action session monitoring — the paper's online regime (§IV-C).
 ///
-/// All cluster models are advanced in lockstep so the effective model can
+/// Every cluster model advances on every action, so the effective model can
 /// switch while the OC-SVM vote is still forming; after
 /// [`MisuseDetector::lock_in`] actions the majority cluster is frozen.
+/// Only the effective cluster's model scores the action: the others step
+/// their recurrent state without the dense head and softmax
+/// ([`LmScorer::try_advance`]).
 ///
 /// # Example
 ///
@@ -169,15 +172,17 @@ impl OnlineMonitor<'_> {
             .locked
             .unwrap_or_else(|| ClusterId(argmax_usize(&self.votes)));
 
-        // Advance every cluster model; keep the effective cluster's score.
-        // The checked feed skips out-of-vocabulary actions and corrupt
-        // models (typed `LmError`s) instead of panicking the monitor.
+        // Advance every cluster model, so a pre-lock-in switch finds its
+        // state current, but score only the effective cluster: the others
+        // skip the dense head and softmax, which only read the state. The
+        // checked calls skip out-of-vocabulary actions and corrupt models
+        // (typed `LmError`s) instead of panicking the monitor.
         let mut chosen: Option<StepScore> = None;
         for (ci, scorer) in self.scorers.iter_mut().enumerate() {
-            if let Ok(s) = scorer.try_feed(action.index()) {
-                if ci == cluster.index() {
-                    chosen = s;
-                }
+            if ci == cluster.index() {
+                chosen = scorer.try_feed(action.index()).ok().flatten();
+            } else {
+                let _ = scorer.try_advance(action.index());
             }
         }
 

@@ -1,7 +1,7 @@
 //! Byte-equality suite for the lock-step batched scorer: for every mix of
-//! session lengths, batch widths, layer counts, and kernel modes, the
-//! batched path must return **bit-identical** scores to a sequential
-//! `try_score_session` loop, and per-session faults must surface as the
+//! session lengths, batch widths and layer counts, the batched path must
+//! return **bit-identical** scores to a sequential `try_score_session`
+//! loop, and per-session faults must surface as the
 //! same typed errors without poisoning the rest of the batch.
 //!
 //! A property test additionally pins the bucket scheduler's contract:

@@ -588,6 +588,61 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     server.shutdown();
 }
 
+/// Three requests pipelined in one write on a keep-alive connection get
+/// three complete responses, in request order, and the POST's events are
+/// admitted: the server keeps the bytes it read past one request for the
+/// next.
+#[test]
+fn pipelined_requests_get_complete_responses_in_order() {
+    let (dataset, _) = fixture();
+    let events = ibcm::chaos::event_stream(dataset);
+    let (mut server, _service) = serve(1024);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let body: String = events[..8].iter().map(|e| event_line(e) + "\n").collect();
+    let pipelined = format!(
+        "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n\
+         POST /v1/events HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}\
+         GET /readyz HTTP/1.1\r\nHost: t\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(pipelined.as_bytes()).expect("write");
+
+    let health = read_response(&mut stream);
+    assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
+    let posted = read_response(&mut stream);
+    assert_eq!(posted.status, 200, "{}", posted.body);
+    assert_eq!(json_field(&posted.body, "accepted"), Some("8"));
+    assert_eq!(json_field(&posted.body, "status"), Some("\"complete\""));
+    let ready = read_response(&mut stream);
+    assert_eq!(ready.status, 200, "{}", ready.body);
+    assert_eq!(json_field(&ready.body, "ready"), Some("true"));
+    for resp in [&health, &posted, &ready] {
+        assert_eq!(resp.header("Connection"), Some("keep-alive"));
+    }
+    server.shutdown();
+}
+
+/// A request head that arrives in three writes, split mid-line, is read
+/// whole and served.
+#[test]
+fn request_head_split_across_writes_is_served() {
+    let (mut server, _service) = serve(1024);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let parts = [
+        "GET /hea",
+        "lthz HTTP/1.1\r\nHo",
+        "st: t\r\nConnection: close\r\n\r\n",
+    ];
+    for part in parts {
+        stream.write_all(part.as_bytes()).expect("write");
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    let resp = read_response(&mut stream);
+    assert_eq!((resp.status, resp.body.as_str()), (200, "ok\n"));
+    server.shutdown();
+}
+
 /// A client that trickles its head one byte at a time must lose its
 /// connection slot once the read timeout has passed since the request's
 /// first byte, not only when a single read stalls that long.
