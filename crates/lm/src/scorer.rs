@@ -178,7 +178,10 @@ impl<'a> LmScorer<'a> {
 
     /// Advances the recurrent state without computing a score — cheaper
     /// than [`LmScorer::feed`] when several cluster models are kept in sync
-    /// but only one is being read (the online regime's router comparison).
+    /// but only one is being read, as the online monitor does with every
+    /// cluster model but the effective one. A successful
+    /// [`LmScorer::try_feed`] leaves the same state: its dense head only
+    /// reads it.
     ///
     /// # Panics
     ///
