@@ -16,11 +16,16 @@
 //!   `StreamMonitor` over `chaos::event_stream` of the first held-out
 //!   dataset after `inject_unknown_actions`;
 //! - `checkpoints`: that stream's `IBCS` checkpoints, taken every 997 events
-//!   and at the end.
+//!   and at the end;
+//! - `offline_verdicts`: the Debug text of every `score_sessions` verdict
+//!   over every session of both held-out datasets, with every 11th action
+//!   out of vocabulary, at the pipeline's `effective_parallelism()`.
 //!
-//! The scale and seed come from `IBCM_SCALE` and `IBCM_SEED`. LSTM training
-//! is cut to 2 epochs, as in the benchmark's model: the digest compares
-//! bits, not detection quality. Progress goes to stderr; no file is written.
+//! The scale and seed come from `IBCM_SCALE` and `IBCM_SEED`, the thread
+//! count from `IBCM_THREADS`; every line is the same at any thread count.
+//! LSTM training is cut to 2 epochs, as in the benchmark's model: the digest
+//! compares bits, not detection quality. Progress goes to stderr; no file is
+//! written.
 
 use std::fmt::Write as _;
 
@@ -69,6 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("[ibcm] output_digest scale={} seed={seed}", scale.label());
     let mut config = scale.pipeline_config(seed);
     config.lm.epochs = 2;
+    let threads = config.effective_parallelism();
     let trained =
         Pipeline::new(config).train(&Generator::new(scale.generator_config(seed)).generate())?;
     let detector = trained.detector();
@@ -84,17 +90,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trend_window: 4,
         ..AlarmPolicy::default()
     };
-    let mut events = Fnv1a::new();
+    // Every 11th action of the held-out sessions, counted across them, is
+    // out of vocabulary.
     let mut n = 0usize;
-    for session in held_out.iter().flat_map(|d| d.sessions()) {
+    let sessions: Vec<Vec<ActionId>> = held_out
+        .iter()
+        .flat_map(|d| d.sessions())
+        .map(|session| {
+            session
+                .actions()
+                .iter()
+                .map(|&action| {
+                    let action = if n.is_multiple_of(11) {
+                        ActionId(vocab + n % 7)
+                    } else {
+                        action
+                    };
+                    n += 1;
+                    action
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut events = Fnv1a::new();
+    for session in &sessions {
         let mut monitor = detector.monitor(policy);
-        for &action in session.actions() {
-            let action = if n.is_multiple_of(11) {
-                ActionId(vocab + n % 7)
-            } else {
-                action
-            };
-            n += 1;
+        for &action in session {
             writeln!(events, "{:?}", monitor.feed(action))?;
         }
     }
@@ -114,5 +136,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     checkpoints.update(&monitor.checkpoint());
     outcomes.print("stream_outcomes");
     checkpoints.print("checkpoints");
+
+    let mut verdicts = Fnv1a::new();
+    for verdict in detector.score_sessions(&sessions, threads) {
+        writeln!(verdicts, "{verdict:?}")?;
+    }
+    verdicts.print("offline_verdicts");
     Ok(())
 }

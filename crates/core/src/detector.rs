@@ -2,7 +2,7 @@
 
 use ibcm_lm::{LstmLm, SessionScore};
 use ibcm_logsim::{ActionId, ClusterId};
-use ibcm_ocsvm::{ClusterRouter, RouteDecision};
+use ibcm_ocsvm::ClusterRouter;
 
 /// Cached handles for the batch-scoring metrics: one counter increment and
 /// one histogram observation per scored session. Cached so parallel batch
@@ -149,8 +149,12 @@ impl MisuseDetector {
     }
 
     /// Routes a session using the paper's first-`lock_in`-actions majority
-    /// vote (§IV-C).
-    pub fn route(&self, actions: &[ActionId]) -> RouteDecision {
+    /// vote (§IV-C) and returns the voted cluster.
+    ///
+    /// The vote stops scoring prefixes once the rest cannot change its
+    /// winner ([`ClusterRouter::route_with_lock_in`]); the cluster is the
+    /// one a vote over every prefix up to `lock_in` picks.
+    pub fn route(&self, actions: &[ActionId]) -> ClusterId {
         self.router.route_with_lock_in(actions, self.lock_in)
     }
 
@@ -158,15 +162,12 @@ impl MisuseDetector {
     /// routed cluster's model.
     pub fn score_session(&self, actions: &[ActionId]) -> SessionVerdict {
         let start = ibcm_obs::Stopwatch::start();
-        let decision = self.route(actions);
-        let score = self.score_in_cluster(actions, decision.cluster);
+        let cluster = self.route(actions);
+        let score = self.score_in_cluster(actions, cluster);
         let metrics = scoring_metrics();
         metrics.sessions.inc();
         metrics.seconds.observe(start.elapsed_seconds());
-        SessionVerdict {
-            cluster: decision.cluster,
-            score,
-        }
+        SessionVerdict { cluster, score }
     }
 
     /// Scores a session under a specific cluster's model (used when the true
@@ -258,8 +259,7 @@ impl MisuseDetector {
         // Routing is per-session and order-preserved; encoding here keeps
         // the scoring jobs borrow-only.
         let routed: Vec<(ClusterId, Vec<usize>)> = ibcm_par::par_map(threads, sessions, |_, s| {
-            let decision = self.route(s.as_ref());
-            (decision.cluster, self.encode(s.as_ref()))
+            (self.route(s.as_ref()), self.encode(s.as_ref()))
         });
         // Group session indices by routed cluster. Indexed Vecs rather
         // than a map: cluster ids are dense, and iteration order must be
@@ -419,8 +419,8 @@ mod tests {
     #[test]
     fn routes_to_matching_behavior() {
         let d = detector();
-        assert_eq!(d.route(&acts(&[0, 1, 2, 0, 1])).cluster, ClusterId(0));
-        assert_eq!(d.route(&acts(&[3, 4, 5, 3, 4])).cluster, ClusterId(1));
+        assert_eq!(d.route(&acts(&[0, 1, 2, 0, 1])), ClusterId(0));
+        assert_eq!(d.route(&acts(&[3, 4, 5, 3, 4])), ClusterId(1));
     }
 
     #[test]
@@ -618,7 +618,7 @@ mod tests {
             .fold(f32::NEG_INFINITY, f32::max);
         assert!(v.score.avg_likelihood >= min - 1e-6 && v.score.avg_likelihood <= max + 1e-6);
         // At low temperature the weight concentrates on the routed cluster.
-        let routed = d.route(&s).cluster;
+        let routed = d.route(&s);
         assert!(v.weights[routed.index()] > 0.8, "weights {:?}", v.weights);
     }
 

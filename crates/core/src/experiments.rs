@@ -298,9 +298,7 @@ pub fn fig7_online_likelihood(
             if tokens.len() < 2 {
                 return pairs;
             }
-            let locked = router
-                .route_with_lock_in(s.actions(), det.lock_in())
-                .cluster;
+            let locked = router.route_with_lock_in(s.actions(), det.lock_in());
             let mut scorers: Vec<_> = (0..k)
                 .map(|ci| det.model(ClusterId(ci)).scorer())
                 .collect();
@@ -473,11 +471,8 @@ pub fn fig11_fig12_per_cluster(
                 }
             };
             let routed = eval_with(&|s| det.router().route(s.actions()).cluster);
-            let locked = eval_with(&|s| {
-                det.router()
-                    .route_with_lock_in(s.actions(), det.lock_in())
-                    .cluster
-            });
+            let locked =
+                eval_with(&|s| det.router().route_with_lock_in(s.actions(), det.lock_in()));
             PerClusterNormalityRow {
                 cluster: c.cluster,
                 size: c.size(),
@@ -744,9 +739,7 @@ pub fn routing_accuracy(
         ibcm_par::par_map(threads, &sessions, |_, &(s, actual)| {
             let predicted = match strategy {
                 RoutingStrategy::Full => det.router().route(s.actions()).cluster,
-                RoutingStrategy::LockIn(k) => {
-                    det.router().route_with_lock_in(s.actions(), k).cluster
-                }
+                RoutingStrategy::LockIn(k) => det.router().route_with_lock_in(s.actions(), k),
                 RoutingStrategy::NearestCentroid => {
                     let f = featurizer.features(s.actions());
                     let best = centroids

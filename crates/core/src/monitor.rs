@@ -2,6 +2,7 @@ use std::collections::VecDeque;
 
 use ibcm_lm::{LmScorer, StepScore};
 use ibcm_logsim::{ActionId, ClusterId};
+use ibcm_ocsvm::LockInVote;
 
 use crate::detector::MisuseDetector;
 
@@ -64,8 +65,10 @@ pub struct MonitorEvent {
 /// Every cluster model advances on every action, so the effective model can
 /// switch while the OC-SVM vote is still forming; after
 /// [`MisuseDetector::lock_in`] actions the majority cluster is frozen.
-/// Only the effective cluster's model scores the action: the others step
-/// their recurrent state without the dense head and softmax
+/// The vote ([`LockInVote`]) stops scoring prefixes once the ballots still
+/// to come cannot change its winner, which then stays the effective
+/// cluster. Only the effective cluster's model scores the action: the
+/// others step their recurrent state without the dense head and softmax
 /// ([`LmScorer::try_advance`]).
 ///
 /// # Example
@@ -90,7 +93,7 @@ pub struct OnlineMonitor<'a> {
     policy: AlarmPolicy,
     scorers: Vec<LmScorer<'a>>,
     prefix: Vec<ActionId>,
-    votes: Vec<usize>,
+    vote: LockInVote,
     locked: Option<ClusterId>,
     recent: VecDeque<f32>,
     trend: VecDeque<f32>,
@@ -108,7 +111,7 @@ impl MisuseDetector {
                 .map(|c| self.model(ClusterId(c)).scorer())
                 .collect(),
             prefix: Vec::new(),
-            votes: vec![0; self.n_clusters()],
+            vote: LockInVote::new(self.n_clusters(), self.lock_in().max(1)),
             locked: None,
             recent: VecDeque::new(),
             trend: VecDeque::new(),
@@ -149,28 +152,25 @@ impl OnlineMonitor<'_> {
         if self.position == 0 {
             return None;
         }
-        Some(ClusterId(argmax_usize(&self.votes)))
+        Some(self.vote.leader())
     }
 
     /// Feeds the next observed action and returns the monitoring event.
-    // ibcm-lint: allow(transitive-panic, reason = "argmax over the router's per-cluster scores is < n_clusters == votes.len()")
     pub fn feed(&mut self, action: ActionId) -> MonitorEvent {
         self.position += 1;
         self.prefix.push(action);
 
-        // Routing: vote on each prefix until the lock-in horizon.
+        // Routing: vote on each prefix until the lock-in horizon; a
+        // settled vote scores no prefix.
         if self.locked.is_none() {
-            let scores = self.detector.router().scores(&self.prefix);
-            self.votes[argmax_f64(&scores)] += 1;
+            self.vote.cast(self.detector.router(), &self.prefix);
             if self.position >= self.detector.lock_in() {
-                self.locked = Some(ClusterId(argmax_usize(&self.votes)));
+                self.locked = Some(self.vote.leader());
             }
         }
         // Equivalent to `current_cluster()` with `position >= 1`, without
         // the unreachable-`None` unwrap.
-        let cluster = self
-            .locked
-            .unwrap_or_else(|| ClusterId(argmax_usize(&self.votes)));
+        let cluster = self.locked.unwrap_or_else(|| self.vote.leader());
 
         // Advance every cluster model, so a pre-lock-in switch finds its
         // state current, but score only the effective cluster: the others
@@ -235,22 +235,6 @@ impl OnlineMonitor<'_> {
         let recent: f32 = self.trend.iter().skip(w).sum::<f32>() / w as f32;
         recent < self.policy.trend_drop_ratio * prior
     }
-}
-
-fn argmax_f64(xs: &[f64]) -> usize {
-    xs.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
-}
-
-fn argmax_usize(xs: &[usize]) -> usize {
-    xs.iter()
-        .enumerate()
-        .max_by_key(|&(_, &v)| v)
-        .map(|(i, _)| i)
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

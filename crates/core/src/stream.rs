@@ -321,8 +321,10 @@ struct SessionEntry {
 /// capacity victims, end action — without changing the directory;
 /// [`commit`](SessionDirectory::commit) records the decision. Planning is
 /// free of side effects, so a caller may plan, find it cannot deliver the
-/// result yet, and plan the same event again later. The directory emits no
-/// registry metrics: [`StreamMonitor::apply`] counts what it applies.
+/// result yet, and plan the same event again later. The directory counts no
+/// registry metrics: [`StreamMonitor::apply`] counts what it applies. Its
+/// owner publishes the two stream gauges from it after each commit
+/// ([`SessionDirectory::publish_gauges`]).
 #[derive(Debug)]
 pub struct SessionDirectory {
     config: StreamConfig,
@@ -544,6 +546,19 @@ impl SessionDirectory {
         }
     }
 
+    /// Sets the process-wide `ibcm_stream_active_sessions` and
+    /// `ibcm_stream_clock_minute` gauges to this directory's session count
+    /// and clock. The owner of the directory that plans every event calls
+    /// it after each commit: [`StreamMonitor::ingest`] for a monitor that
+    /// plans its own events, the sharded daemon's supervisor for its
+    /// central directory. A shard's monitor, which sees only its own
+    /// sessions, never does.
+    pub fn publish_gauges(&self) {
+        let metrics = stream_metrics();
+        metrics.active_sessions.set(self.sessions.len() as i64);
+        metrics.clock_minute.set(self.clock as i64);
+    }
+
     /// Closes `user`'s session as shed and returns its last minute, or
     /// `None` when the user has no active session.
     fn shed(&mut self, user: UserId) -> Option<u64> {
@@ -637,16 +652,20 @@ impl StreamMonitor<'_> {
 
     /// Feeds one event and reports everything that happened: the scoring
     /// alarm, sessions shed for capacity, fault classifications, and
-    /// whether the event was dropped.
+    /// whether the event was dropped. Also sets the two stream gauges
+    /// ([`SessionDirectory::publish_gauges`]).
     pub fn ingest(&mut self, event: SessionEvent) -> ObserveOutcome {
         let admission = self.directory.plan(event);
-        self.apply(admission)
+        let outcome = self.apply(admission);
+        self.directory.publish_gauges();
+        outcome
     }
 
     /// Commits `admission` to this monitor's directory and carries it out
     /// on the per-session monitors: closes a timed-out session, sheds the
     /// capacity victims, feeds the event and closes the session on an end
-    /// action. This is where every `ibcm_stream_*` metric is counted.
+    /// action. This is where every `ibcm_stream_*` counter is counted; the
+    /// gauges are set by whoever planned the admission.
     ///
     /// [`StreamMonitor::ingest`] applies what its own directory planned; a
     /// shard of the sharded daemon applies what the daemon's central
@@ -668,9 +687,6 @@ impl StreamMonitor<'_> {
             opens,
             ends,
         } = admission;
-        if !faults.contains(&FaultKind::NonMonotonic) {
-            metrics.clock_minute.set(event.minute as i64);
-        }
         if dropped {
             metrics.dropped.inc();
             return ObserveOutcome {
@@ -713,7 +729,6 @@ impl StreamMonitor<'_> {
             self.monitors.remove(&event.user);
             metrics.sessions_ended.inc();
         }
-        metrics.active_sessions.set(self.monitors.len() as i64);
         ObserveOutcome {
             alarm,
             shed,
@@ -751,11 +766,7 @@ impl StreamMonitor<'_> {
     /// Returns `None` when the user has no active session.
     pub fn shed_session(&mut self, user: UserId) -> Option<StreamAlarm> {
         let last_minute = self.directory.shed(user)?;
-        let alarm = self.shed_monitor(user, last_minute);
-        stream_metrics()
-            .active_sessions
-            .set(self.monitors.len() as i64);
-        alarm
+        self.shed_monitor(user, last_minute)
     }
 }
 

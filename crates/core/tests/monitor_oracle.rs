@@ -7,6 +7,10 @@
 //! match field for field, floats by their bits, over held-out sessions with
 //! out-of-vocabulary actions, including a session that opens with one, and
 //! across pre-lock-in switches of the effective cluster.
+//!
+//! The monitor's lock-in vote also stops scoring prefixes once the ballots
+//! still to come cannot change its winner; the reference votes on every
+//! prefix up to lock-in, so the comparison covers the skipped votes too.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -129,6 +133,16 @@ fn argmax_usize(xs: &[usize]) -> usize {
         .map_or(0, |(i, _)| i)
 }
 
+/// Whether no split of `remaining` further ballots can change the winner
+/// of `votes` (the most votes, the later cluster on a tie).
+fn settled(votes: &[usize], remaining: usize) -> bool {
+    let leader = argmax_usize(votes);
+    let lead = votes[leader];
+    votes.iter().enumerate().all(|(c, &v)| {
+        c == leader || v + remaining < lead || (v + remaining == lead && c < leader)
+    })
+}
+
 /// A `MonitorEvent` with every float replaced by its bits, so `==` is
 /// bit equality (`NaN` included).
 fn bits(e: &MonitorEvent) -> impl PartialEq + std::fmt::Debug {
@@ -201,9 +215,14 @@ fn monitor_matches_the_all_cluster_oracle() {
         .count();
     assert_eq!(scored.get() - before, with_score as u64);
 
+    let lock_in = detector.lock_in().max(1);
     let (mut switches, mut unscored, mut alarms) = (0, 0, 0);
+    // Prefix votes the monitor skipped: those after its vote settled, up to
+    // lock-in, found from the reference's full vote.
+    let (mut skipping_sessions, mut skipped_votes) = (0, 0);
     for (s, got) in sessions.iter().zip(&events) {
         let mut reference = Reference::new(detector, policy);
+        let mut settled_at = None;
         for (i, (&a, event)) in s.iter().zip(got).enumerate() {
             let want = reference.feed(a);
             assert_eq!(bits(event), bits(&want), "action {i} ({a:?}) of {s:?}");
@@ -213,11 +232,24 @@ fn monitor_matches_the_all_cluster_oracle() {
             }
             unscored += usize::from(i > 0 && event.score.is_none());
             alarms += usize::from(event.alarm);
+            let position = i + 1;
+            if settled_at.is_none() && position < lock_in && settled(&reference.votes, lock_in - position) {
+                settled_at = Some(position);
+            }
+        }
+        if let Some(p) = settled_at {
+            let skipped = s.len().min(lock_in) - p;
+            skipping_sessions += usize::from(skipped > 0);
+            skipped_votes += skipped;
         }
     }
     assert!(
         switches > 0,
         "no pre-lock-in switch of the effective cluster"
+    );
+    assert!(
+        skipping_sessions > 0 && skipped_votes > 0,
+        "no session's vote settled before lock-in with a prefix vote left to skip"
     );
     assert!(unscored > 0, "no out-of-vocabulary action was fed");
     assert!(alarms > 0, "no alarm to compare");

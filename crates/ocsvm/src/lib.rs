@@ -16,7 +16,9 @@
 //! - [`OcSvm`]: the ν-one-class SVM trained with an SMO-style pairwise
 //!   coordinate descent on the dual,
 //! - [`ClusterRouter`]: per-cluster score comparison, per-prefix scoring,
-//!   and first-`k`-action majority-vote lock-in.
+//!   and first-`k`-action majority-vote lock-in,
+//! - [`LockInVote`]: that vote, which stops scoring prefixes once the
+//!   remaining ones cannot change its winner.
 //!
 //! # Example
 //!
@@ -45,5 +47,5 @@ mod svm;
 pub use error::OcSvmError;
 pub use features::SessionFeaturizer;
 pub use kernel::Kernel;
-pub use router::{ClusterRouter, RouteDecision};
+pub use router::{ClusterRouter, LockInVote, RouteDecision};
 pub use svm::{OcSvm, OcSvmConfig};

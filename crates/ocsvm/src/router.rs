@@ -80,15 +80,17 @@ impl ClusterRouter {
     /// prefix).
     ///
     /// The features' non-zero entries are listed once per call and shared
-    /// by every cluster's SVM, so an RBF kernel value costs the union of
-    /// two bags' non-zeros (a handful of actions) rather than the whole
-    /// vocabulary. Each score has the same bits as [`OcSvm::decision`].
+    /// by every cluster's SVM, and each SVM makes one column pass over its
+    /// support vectors (see [`OcSvm::decision`]): a merge of those entries
+    /// with the columns its support vectors use, not one per support
+    /// vector. Each score has the same bits as [`OcSvm::decision`].
     pub fn scores(&self, actions: &[ActionId]) -> Vec<f64> {
         let x = self.featurizer.features(actions);
         let nz = nonzeros(&x);
+        let mut acc = Vec::new();
         self.svms
             .iter()
-            .map(|s| s.decision_with_nonzeros(&x, &nz))
+            .map(|s| s.decision_with_nonzeros(&x, &nz, &mut acc))
             .collect()
     }
 
@@ -105,23 +107,25 @@ impl ClusterRouter {
 
     /// The paper's online lock-in rule (§IV-C): route each prefix of the
     /// first `lock_in` actions, then fix the **most frequently chosen**
-    /// cluster for the rest of the session.
-    pub fn route_with_lock_in(&self, actions: &[ActionId], lock_in: usize) -> RouteDecision {
+    /// cluster for the rest of the session (the higher cluster index on a
+    /// tie; the last cluster for an empty session).
+    ///
+    /// The prefixes vote through a [`LockInVote`], which stops scoring
+    /// them once the remaining prefixes can no longer change the winner,
+    /// so no final prefix's scores exist to return: the result is the
+    /// voted cluster alone.
+    pub fn route_with_lock_in(&self, actions: &[ActionId], lock_in: usize) -> ClusterId {
         let horizon = actions.len().min(lock_in.max(1));
-        let mut votes = vec![0usize; self.svms.len()];
-        let mut last_scores = vec![0.0; self.svms.len()];
-        #[expect(clippy::indexing_slicing, reason = "end <= horizon <= actions.len(), so the prefix slice is always in bounds; argmax returns an index < scores.len() == svms.len() == votes.len(), and new() asserts svms is non-empty")]
-        for end in 1..=horizon {
-            let scores = self.scores(&actions[..end]);
-            votes[argmax(&scores)] += 1;
-            last_scores = scores;
+        let mut vote = LockInVote::new(self.svms.len(), horizon);
+        for prefix in (1..=horizon).filter_map(|end| actions.get(..end)) {
+            if vote.is_settled() {
+                break;
+            }
+            vote.cast(self, prefix);
         }
-        let cluster = argmax_usize(&votes);
-        count_route(cluster);
-        RouteDecision {
-            cluster: ClusterId(cluster),
-            scores: last_scores,
-        }
+        let cluster = vote.leader();
+        count_route(cluster.index());
+        cluster
     }
 
     /// Decision scores of a specific cluster's OC-SVM for every prefix of
@@ -165,13 +169,74 @@ fn argmax(scores: &[f64]) -> usize {
         .unwrap_or(0)
 }
 
-fn argmax_usize(votes: &[usize]) -> usize {
-    votes
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &v)| v)
-        .map(|(i, _)| i)
-        .unwrap_or(0)
+/// The paper's lock-in majority vote (§IV-C), one ballot per prefix: each
+/// of a session's first `lock_in` prefixes votes for the cluster whose
+/// OC-SVM scores it highest, and the cluster with the most votes wins, the
+/// higher cluster index on a tie.
+///
+/// The vote is *settled* once no split of the ballots still to come can
+/// change the winner: every other cluster, given all of them, would still
+/// trail the leader or tie it from a lower index. From then on the leader
+/// is also the leader after every later ballot, so [`LockInVote::cast`]
+/// scores no more prefixes. [`ClusterRouter::route_with_lock_in`] and the
+/// online monitor in `ibcm-core` both vote through this type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LockInVote {
+    votes: Vec<usize>,
+    /// Ballots not yet cast.
+    remaining: usize,
+}
+
+impl LockInVote {
+    /// A vote among `n_clusters` clusters over `ballots` prefixes.
+    pub fn new(n_clusters: usize, ballots: usize) -> Self {
+        LockInVote {
+            votes: vec![0; n_clusters],
+            remaining: ballots,
+        }
+    }
+
+    /// The cluster with the most votes so far, the higher index on a tie
+    /// (so the last cluster before any ballot is cast).
+    pub fn leader(&self) -> ClusterId {
+        ClusterId(self.lead().0)
+    }
+
+    /// Whether the winner is decided: no split of the remaining ballots
+    /// can make another cluster the leader. Always true once every ballot
+    /// is cast.
+    pub fn is_settled(&self) -> bool {
+        let (leader, lead) = self.lead();
+        self.votes.iter().enumerate().all(|(c, &v)| {
+            let best = v.saturating_add(self.remaining);
+            c == leader || best < lead || (best == lead && c < leader)
+        })
+    }
+
+    /// Casts the next ballot: `prefix` votes for the cluster whose OC-SVM
+    /// scores it highest in `router` (the higher index on a tie). A settled
+    /// vote scores nothing and records nothing.
+    pub fn cast(&mut self, router: &ClusterRouter, prefix: &[ActionId]) {
+        if !self.is_settled() {
+            self.record(argmax(&router.scores(prefix)));
+        }
+    }
+
+    /// Records one ballot for `cluster`.
+    fn record(&mut self, cluster: usize) {
+        if let Some(v) = self.votes.get_mut(cluster) {
+            *v += 1;
+        }
+        self.remaining = self.remaining.saturating_sub(1);
+    }
+
+    /// The leader's index and vote count.
+    fn lead(&self) -> (usize, usize) {
+        self.votes
+            .iter()
+            .enumerate()
+            .fold((0, 0), |best, (c, &v)| if v >= best.1 { (c, v) } else { best })
+    }
 }
 
 #[cfg(test)]
@@ -225,8 +290,132 @@ mod tests {
         // the first actions should still say cluster 0.
         let mut acts = vec![ActionId(0); 10];
         acts.extend(vec![ActionId(2); 3]);
-        let d = r.route_with_lock_in(&acts, 10);
-        assert_eq!(d.cluster, ClusterId(0));
+        assert_eq!(r.route_with_lock_in(&acts, 10), ClusterId(0));
+    }
+
+    /// The winner of final vote counts under the tie rule: the most
+    /// votes, the higher index on a tie.
+    fn winner(votes: &[usize]) -> usize {
+        votes
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &v)| v)
+            .map_or(0, |(i, _)| i)
+    }
+
+    /// Every way to split `total` ballots among `parts` clusters.
+    fn splits(total: usize, parts: usize) -> Vec<Vec<usize>> {
+        if parts == 0 {
+            return if total == 0 { vec![Vec::new()] } else { Vec::new() };
+        }
+        (0..=total)
+            .flat_map(|first| {
+                splits(total - first, parts - 1).into_iter().map(move |mut rest| {
+                    rest.insert(0, first);
+                    rest
+                })
+            })
+            .collect()
+    }
+
+    /// A vote over `ballots` with `votes` already cast, cluster by cluster.
+    fn vote_with(votes: &[usize], ballots: usize) -> LockInVote {
+        let mut vote = LockInVote::new(votes.len(), ballots);
+        for (c, &n) in votes.iter().enumerate() {
+            for _ in 0..n {
+                vote.record(c);
+            }
+        }
+        vote
+    }
+
+    #[test]
+    fn vote_is_settled_exactly_when_no_split_of_the_rest_changes_the_leader() {
+        let mut settled_early = 0;
+        for n in 1..=4 {
+            for ballots in 0..=6 {
+                for cast in 0..=ballots {
+                    for votes in splits(cast, n) {
+                        let vote = vote_with(&votes, ballots);
+                        let leader = winner(&votes);
+                        assert_eq!(vote.leader(), ClusterId(leader), "{votes:?}");
+                        let unchangeable = splits(ballots - cast, n).iter().all(|rest| {
+                            let total: Vec<usize> =
+                                votes.iter().zip(rest).map(|(v, r)| v + r).collect();
+                            winner(&total) == leader
+                        });
+                        assert_eq!(
+                            vote.is_settled(),
+                            unchangeable,
+                            "{votes:?} with {} to come",
+                            ballots - cast
+                        );
+                        settled_early += usize::from(unchangeable && cast < ballots && n > 1);
+                    }
+                }
+            }
+        }
+        assert!(settled_early > 0);
+    }
+
+    #[test]
+    fn vote_ties_resolve_to_the_higher_index() {
+        // A lower-index challenger that could only tie the leader cannot
+        // take the lead; a higher-index one can.
+        let vote = vote_with(&[2, 3, 1], 7);
+        assert_eq!(vote.leader(), ClusterId(1));
+        assert!(vote.is_settled());
+        let vote = vote_with(&[1, 3, 2], 7);
+        assert_eq!(vote.leader(), ClusterId(1));
+        assert!(!vote.is_settled());
+        // Tied leaders: the higher index leads, on either side.
+        assert_eq!(vote_with(&[3, 3, 1], 7).leader(), ClusterId(1));
+        assert_eq!(vote_with(&[1, 3, 3], 7).leader(), ClusterId(2));
+        assert!(!vote_with(&[3, 3, 0], 7).is_settled());
+        assert!(vote_with(&[3, 3, 0], 6).is_settled());
+    }
+
+    #[test]
+    fn vote_with_no_ballots_left_is_settled() {
+        for n in 1..=5 {
+            let vote = LockInVote::new(n, 0);
+            assert!(vote.is_settled());
+            assert_eq!(vote.leader(), ClusterId(n - 1), "the last cluster wins an empty vote");
+        }
+        let mut vote = LockInVote::new(3, 2);
+        vote.record(0);
+        vote.record(2);
+        assert!(vote.is_settled());
+        assert_eq!(vote.leader(), ClusterId(2));
+    }
+
+    #[test]
+    fn vote_with_ballots_to_come_is_never_settled_before_the_first() {
+        for n in 2..=6 {
+            for ballots in 1..=20 {
+                assert!(!LockInVote::new(n, ballots).is_settled(), "{n} clusters, {ballots} ballots");
+            }
+        }
+    }
+
+    #[test]
+    fn settled_vote_scores_and_records_nothing() {
+        let r = two_cluster_router();
+        let acts = vec![ActionId(0); 6];
+        let mut vote = LockInVote::new(2, 5);
+        for end in 1..=3 {
+            vote.cast(&r, &acts[..end]);
+        }
+        assert_eq!(vote, vote_with(&[3, 0], 5));
+        assert!(vote.is_settled());
+        vote.cast(&r, &acts[..4]);
+        assert_eq!(vote, vote_with(&[3, 0], 5));
+        assert_eq!(r.route_with_lock_in(&acts, 5), ClusterId(0));
+    }
+
+    #[test]
+    fn empty_session_routes_to_the_last_cluster() {
+        assert_eq!(two_cluster_router().route_with_lock_in(&[], 15), ClusterId(1));
     }
 
     #[test]

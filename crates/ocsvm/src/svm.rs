@@ -42,12 +42,109 @@ impl Default for OcSvmConfig {
 pub struct OcSvm {
     config: OcSvmConfig,
     support_vectors: Vec<Vec<f64>>,
-    /// The non-zero entries of each support vector, index-sorted; built by
+    /// The support vectors by column, for the RBF decision; built by
     /// [`OcSvm::from_parts`] and never mutated.
-    sparse_support: Vec<Vec<(usize, f64)>>,
+    columns: SupportColumns,
     alphas: Vec<f64>,
     rho: f64,
     dim: usize,
+}
+
+/// The support vectors of one SVM, stored by column for the RBF decision's
+/// column pass.
+///
+/// `index` is the sorted union of the support vectors' non-zero column
+/// indices. `values` holds one block per indexed column, in index order:
+/// every support vector's entry in that column, in support-vector order,
+/// `+0.0` where the support vector has none (a `-0.0` entry included).
+#[derive(Debug, Clone, PartialEq)]
+struct SupportColumns {
+    n_sv: usize,
+    index: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl SupportColumns {
+    fn new(support_vectors: &[Vec<f64>]) -> Self {
+        let mut index: Vec<usize> = support_vectors
+            .iter()
+            .flat_map(|sv| nonzeros(sv))
+            .map(|(i, _)| i)
+            .collect();
+        index.sort_unstable();
+        index.dedup();
+        let values = index
+            .iter()
+            .flat_map(|&c| {
+                support_vectors.iter().map(move |sv| match sv.get(c) {
+                    Some(&v) if v != 0.0 => v,
+                    _ => 0.0,
+                })
+            })
+            .collect();
+        SupportColumns {
+            n_sv: support_vectors.len(),
+            index,
+            values,
+        }
+    }
+
+    /// Every indexed column with its support-vector entries, in index order.
+    fn iter(&self) -> impl Iterator<Item = (usize, &[f64])> {
+        // `chunks_exact(0)` panics; with no support vectors there is no
+        // column to pair a chunk with either.
+        self.index
+            .iter()
+            .copied()
+            .zip(self.values.chunks_exact(self.n_sv.max(1)))
+    }
+
+    /// Writes each support vector's squared Euclidean distance to the query
+    /// whose index-sorted non-zeros are `nz` into `acc`, in support-vector
+    /// order.
+    ///
+    /// One merge of `nz` with the indexed columns, in index order, adds one
+    /// term per column to every support vector's sum: `(v − x)²` where both
+    /// sides index the column, `v²` where only the support vectors do and
+    /// `x²` where only the query does. Against `kernel::sq_dist_sorted` of one
+    /// support vector and the query, each of its terms arrives in the same
+    /// order with the same bits (`x²` is that function's `(0 − x)²`, as
+    /// `0 − x = −x` exactly); every other term is `(0 − 0)² = +0.0`, which
+    /// changes no bit of a sum that starts at `+0.0` and only adds squares.
+    fn sq_dists(&self, nz: &[(usize, f64)], acc: &mut Vec<f64>) {
+        acc.clear();
+        acc.resize(self.n_sv, 0.0);
+        let mut columns = self.iter().peekable();
+        for &(i, x) in nz {
+            while let Some((_, col)) = columns.next_if(|&(c, _)| c < i) {
+                add_squares(acc, col);
+            }
+            match columns.next_if(|&(c, _)| c == i) {
+                Some((_, col)) => {
+                    for (sum, &v) in acc.iter_mut().zip(col) {
+                        let d = v - x;
+                        *sum += d * d;
+                    }
+                }
+                None => {
+                    let sq = x * x;
+                    for sum in acc.iter_mut() {
+                        *sum += sq;
+                    }
+                }
+            }
+        }
+        for (_, col) in columns {
+            add_squares(acc, col);
+        }
+    }
+}
+
+/// Adds `v²` to each sum: a column the query has no entry in.
+fn add_squares(acc: &mut [f64], col: &[f64]) {
+    for (sum, &v) in acc.iter_mut().zip(col) {
+        *sum += v * v;
+    }
 }
 
 impl OcSvm {
@@ -174,31 +271,54 @@ impl OcSvm {
     /// Decision score `f(x)`: positive inside the learned region, negative
     /// outside; larger means more typical of the training cluster.
     ///
-    /// With the RBF kernel each kernel value sums over the sorted union of
-    /// `x`'s and the support vector's non-zero indices, which costs the
-    /// union's size rather than `dim` and gives the same bits as the dense
-    /// [`Kernel::eval`]. The linear kernel stays dense.
+    /// With the RBF kernel one column pass computes every support vector's
+    /// squared distance to `x`: it merges `x`'s non-zero entries with the
+    /// sorted union of the support vectors' non-zero columns once, and adds
+    /// each column's term to every support vector's sum in a plain slice
+    /// loop. That costs the union's size (a few dozen columns on session
+    /// bags) times the support vectors, rather than `dim` times them, and
+    /// gives the same bits as the dense [`Kernel::eval`]. The linear kernel
+    /// stays dense.
     ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong dimension.
     pub fn decision(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim, "feature dimension mismatch");
-        self.decision_with_nonzeros(x, &nonzeros(x))
+        self.decision_with_nonzeros(x, &nonzeros(x), &mut Vec::new())
     }
 
     /// [`OcSvm::decision`] for a caller that already holds `nz`, the
-    /// index-sorted non-zero entries of `x` (see [`nonzeros`]).
-    pub(crate) fn decision_with_nonzeros(&self, x: &[f64], nz: &[(usize, f64)]) -> f64 {
-        self.support_vectors
-            .iter()
-            .zip(&self.sparse_support)
-            .zip(&self.alphas)
-            .map(|((sv, sv_nz), &a)| {
-                a * self.config.kernel.eval_with_nonzeros((sv, sv_nz), (x, nz))
-            })
-            .sum::<f64>()
-            - self.rho
+    /// index-sorted non-zero entries of `x` (see [`nonzeros`]); `acc` is
+    /// scratch for the per-support-vector sums, reused across calls.
+    ///
+    /// `f(x) = Σ_j α_j·exp(−γ·‖v_j − x‖²) − ρ`, summed in support-vector
+    /// order as the dense reference sums it.
+    pub(crate) fn decision_with_nonzeros(
+        &self,
+        x: &[f64],
+        nz: &[(usize, f64)],
+        acc: &mut Vec<f64>,
+    ) -> f64 {
+        match self.config.kernel {
+            Kernel::Rbf { gamma } => {
+                self.columns.sq_dists(nz, acc);
+                self.alphas
+                    .iter()
+                    .zip(acc.iter())
+                    .map(|(&a, &sq)| a * (-gamma * sq).exp())
+                    .sum::<f64>()
+                    - self.rho
+            }
+            Kernel::Linear => {
+                self.support_vectors
+                    .iter()
+                    .zip(&self.alphas)
+                    .map(|(sv, &a)| a * self.config.kernel.eval(sv, x))
+                    .sum::<f64>()
+                    - self.rho
+            }
+        }
     }
 
     /// Binary inlier prediction (`decision(x) >= 0`).
@@ -250,11 +370,11 @@ impl OcSvm {
             alphas.len(),
             "one alpha per support vector"
         );
-        let sparse_support = support_vectors.iter().map(|sv| nonzeros(sv)).collect();
+        let columns = SupportColumns::new(&support_vectors);
         OcSvm {
             config,
             support_vectors,
-            sparse_support,
+            columns,
             alphas,
             rho,
             dim,
@@ -392,6 +512,142 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The decision written out with the dense `Kernel::eval`: the
+    /// reference the column pass must match bit for bit.
+    fn dense_decision(svm: &OcSvm, x: &[f64]) -> f64 {
+        svm.support_vectors
+            .iter()
+            .zip(&svm.alphas)
+            .map(|(sv, &a)| a * svm.config.kernel.eval(sv, x))
+            .sum::<f64>()
+            - svm.rho
+    }
+
+    fn assert_matches_dense(svm: &OcSvm, queries: &[Vec<f64>]) {
+        for x in queries {
+            assert_eq!(
+                svm.decision(x).to_bits(),
+                dense_decision(svm, x).to_bits(),
+                "{x:?}"
+            );
+        }
+    }
+
+    fn rbf(gamma: f64) -> OcSvmConfig {
+        OcSvmConfig {
+            kernel: Kernel::Rbf { gamma },
+            ..OcSvmConfig::default()
+        }
+    }
+
+    #[test]
+    fn columns_are_the_sorted_union_of_support_vector_non_zeros() {
+        let svm = OcSvm::from_parts(
+            rbf(1.0),
+            vec![vec![0.0, 0.5, -0.0, 0.25], vec![0.0, 0.0, 0.0, 0.75]],
+            vec![0.5, 0.5],
+            0.1,
+            4,
+        );
+        assert_eq!(svm.columns.index, vec![1, 3]);
+        assert_eq!(svm.columns.values, vec![0.5, 0.0, 0.25, 0.75]);
+        let cols: Vec<(usize, &[f64])> = svm.columns.iter().collect();
+        assert_eq!(cols, vec![(1, &[0.5, 0.0][..]), (3, &[0.25, 0.75][..])]);
+    }
+
+    /// `n_sv = 0` is what a decoded model with no support vectors holds:
+    /// the score is `−ρ`, with the dense reference's bits (the empty sum's
+    /// sign included), and nothing panics.
+    #[test]
+    fn svm_without_support_vectors_scores_minus_rho() {
+        for rho in [0.0, -0.0, 0.37] {
+            let svm = OcSvm::from_parts(rbf(3.0), Vec::new(), Vec::new(), rho, 3);
+            assert!(svm.columns.index.is_empty());
+            assert_eq!(svm.columns.iter().count(), 0);
+            assert_matches_dense(&svm, &[vec![0.0; 3], vec![0.2, 0.0, 0.8]]);
+            let mut buf = bytes::BytesMut::new();
+            svm.write_bytes(&mut buf);
+            let back = OcSvm::read_bytes(&mut buf.freeze()).unwrap();
+            assert_eq!(back, svm);
+            assert_matches_dense(&back, &[vec![0.0, 1.0, 0.0]]);
+        }
+    }
+
+    #[test]
+    fn query_non_zeros_outside_every_support_column() {
+        let svm = OcSvm::from_parts(
+            rbf(0.7),
+            vec![
+                vec![0.0, 0.5, 0.0, 0.5, 0.0, 0.0],
+                vec![0.0, 0.25, 0.0, 0.0, 0.0, 0.0],
+            ],
+            vec![0.75, 0.25],
+            0.2,
+            6,
+        );
+        assert_matches_dense(
+            &svm,
+            &[
+                // Before, between and after the columns, with and without
+                // a shared column.
+                vec![0.3, 0.0, 0.2, 0.0, 0.0, 0.5],
+                vec![0.3, 0.1, 0.2, 0.0, 0.1, 0.5],
+                vec![0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                vec![0.0; 6],
+                vec![-0.0, 0.5, -0.0, 0.5, 0.0, -0.0],
+            ],
+        );
+    }
+
+    #[test]
+    fn svm_with_one_support_vector() {
+        let svm = OcSvm::from_parts(
+            rbf(2.0),
+            vec![vec![0.0, 0.4, 0.0, 0.6]],
+            vec![1.0],
+            0.5,
+            4,
+        );
+        assert_eq!(svm.columns.values, vec![0.4, 0.6]);
+        assert_matches_dense(
+            &svm,
+            &[
+                vec![0.0, 0.4, 0.0, 0.6],
+                vec![1.0, 0.0, 0.0, 0.0],
+                vec![0.0, 0.1, 0.9, 0.0],
+            ],
+        );
+        let trained = OcSvm::train(&[vec![0.0, 1.0, 0.0]], &OcSvmConfig::default()).unwrap();
+        assert_eq!(trained.n_support_vectors(), 1);
+        assert_matches_dense(&trained, &[vec![0.0, 1.0, 0.0], vec![0.5, 0.0, 0.5]]);
+    }
+
+    /// The persisted form is the dense rows: decoding rebuilds the same
+    /// column block, and the rebuilt model scores with the original's bits.
+    #[test]
+    fn column_block_is_rebuilt_from_the_persisted_rows() {
+        use crate::features::SessionFeaturizer;
+        use ibcm_logsim::ActionId;
+        let featurizer = SessionFeaturizer::new(30, true);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut bag = |len: usize| -> Vec<f64> {
+            let actions: Vec<ActionId> =
+                (0..len).map(|_| ActionId(rng.gen_range(0..33))).collect();
+            featurizer.features(&actions)
+        };
+        let data: Vec<Vec<f64>> = (0..40).map(|i| bag(1 + i % 12)).collect();
+        let queries: Vec<Vec<f64>> = (0..40).map(|i| bag(i % 15)).collect();
+        let svm = OcSvm::train(&data, &OcSvmConfig::default()).unwrap();
+        let mut buf = bytes::BytesMut::new();
+        svm.write_bytes(&mut buf);
+        let back = OcSvm::read_bytes(&mut buf.freeze()).unwrap();
+        assert_eq!(back.columns, svm.columns);
+        assert_matches_dense(&back, &queries);
+        for x in &queries {
+            assert_eq!(back.decision(x).to_bits(), svm.decision(x).to_bits());
         }
     }
 

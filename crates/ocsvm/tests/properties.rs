@@ -1,6 +1,6 @@
 //! Property-based tests for the one-class SVM and featurizer.
 
-use ibcm_logsim::ActionId;
+use ibcm_logsim::{ActionId, ClusterId};
 use ibcm_ocsvm::{ClusterRouter, Kernel, OcSvm, OcSvmConfig, SessionFeaturizer};
 use proptest::prelude::*;
 
@@ -94,8 +94,81 @@ fn dense_decision(svm: &OcSvm, x: &[f64]) -> f64 {
         - rho
 }
 
+/// One SVM per cluster, each trained on featurized sessions over a
+/// 20-action vocabulary.
+fn router_for(clusters: &[Vec<Vec<usize>>], include_length: bool) -> ClusterRouter {
+    let featurizer = SessionFeaturizer::new(20, include_length);
+    let cfg = OcSvmConfig {
+        max_sweeps: 15,
+        ..OcSvmConfig::default()
+    };
+    let svms: Vec<OcSvm> = clusters
+        .iter()
+        .map(|sessions| {
+            let feats: Vec<Vec<f64>> = sessions
+                .iter()
+                .map(|s| {
+                    let actions: Vec<ActionId> = s.iter().map(|&a| ActionId(a)).collect();
+                    featurizer.features(&actions)
+                })
+                .collect();
+            OcSvm::train(&feats, &cfg).unwrap()
+        })
+        .collect();
+    ClusterRouter::new(svms, featurizer)
+}
+
+/// The lock-in vote over every prefix up to the horizon, with no early
+/// stop: each prefix votes for its highest-scoring cluster (the later one
+/// on a tie) and the most-voted cluster wins (the later one on a tie).
+fn full_horizon_vote(router: &ClusterRouter, actions: &[ActionId], lock_in: usize) -> ClusterId {
+    let horizon = actions.len().min(lock_in.max(1));
+    let mut votes = vec![0usize; router.n_clusters()];
+    for end in 1..=horizon {
+        let scores = router.scores(&actions[..end]);
+        let best = scores
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map_or(0, |(i, _)| i);
+        votes[best] += 1;
+    }
+    ClusterId(
+        votes
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &v)| v)
+            .map_or(0, |(i, _)| i),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The lock-in route, which stops voting once the winner is settled,
+    /// picks the cluster of a vote over every prefix up to the horizon.
+    #[test]
+    fn lock_in_route_matches_the_full_horizon_vote(
+        clusters in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(0usize..20, 1..15), 4..8),
+            1..5,
+        ),
+        sessions in prop::collection::vec(prop::collection::vec(0usize..23, 0..=40), 1..12),
+        include_length in any::<bool>(),
+    ) {
+        let router = router_for(&clusters, include_length);
+        // Actions 20 to 22 are out of vocabulary.
+        for session in &sessions {
+            let actions: Vec<ActionId> = session.iter().map(|&a| ActionId(a)).collect();
+            for lock_in in [1, 2, 5, 15] {
+                prop_assert_eq!(
+                    router.route_with_lock_in(&actions, lock_in),
+                    full_horizon_vote(&router, &actions, lock_in),
+                    "lock_in {} on {:?}", lock_in, session
+                );
+            }
+        }
+    }
 
     /// On mostly-zero training sets and queries, the decision equals the
     /// dense reference bit for bit.
@@ -127,22 +200,8 @@ proptest! {
         session in prop::collection::vec(0usize..22, 1..20),
         include_length in any::<bool>(),
     ) {
-        let featurizer = SessionFeaturizer::new(20, include_length);
-        let cfg = OcSvmConfig { max_sweeps: 15, ..OcSvmConfig::default() };
-        let svms: Vec<OcSvm> = clusters
-            .iter()
-            .map(|sessions| {
-                let feats: Vec<Vec<f64>> = sessions
-                    .iter()
-                    .map(|s| {
-                        let actions: Vec<ActionId> = s.iter().map(|&a| ActionId(a)).collect();
-                        featurizer.features(&actions)
-                    })
-                    .collect();
-                OcSvm::train(&feats, &cfg).unwrap()
-            })
-            .collect();
-        let router = ClusterRouter::new(svms, featurizer);
+        let router = router_for(&clusters, include_length);
+        let featurizer = *router.featurizer();
         // Actions 20 and 21 are out of vocabulary.
         let actions: Vec<ActionId> = session.iter().map(|&a| ActionId(a)).collect();
         for end in 0..=actions.len() {

@@ -385,6 +385,7 @@ impl Daemon {
         // Commit, then dispatch: the victims first, each shed on its own
         // shard, then the rest of the admission to the event's shard.
         self.directory.commit(&admission);
+        self.directory.publish_gauges();
         for user in admission.take_victims() {
             let seq = self.alloc_seq();
             self.dispatch(self.shard_for(user), ShardCommand::Shed { seq, user });

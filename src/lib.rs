@@ -75,7 +75,8 @@ pub use ibcm_logsim::{
     LogImporter, LogsimError, Session, SessionId, Split, UserId,
 };
 pub use ibcm_ocsvm::{
-    ClusterRouter, Kernel, OcSvm, OcSvmConfig, OcSvmError, RouteDecision, SessionFeaturizer,
+    ClusterRouter, Kernel, LockInVote, OcSvm, OcSvmConfig, OcSvmError, RouteDecision,
+    SessionFeaturizer,
 };
 pub use ibcm_patterns::{frequent_itemsets, Itemset, PrefixSpan, SequentialPattern};
 pub use ibcm_topics::{

@@ -118,7 +118,7 @@ fn routing_matches_cluster_membership() {
     let mut total = 0usize;
     for c in trained.clusters() {
         for s in &c.test {
-            hits += usize::from(det.route(s.actions()).cluster == c.cluster);
+            hits += usize::from(det.route(s.actions()) == c.cluster);
             total += 1;
         }
     }
