@@ -138,9 +138,10 @@ fn argmax_usize(xs: &[usize]) -> usize {
 fn settled(votes: &[usize], remaining: usize) -> bool {
     let leader = argmax_usize(votes);
     let lead = votes[leader];
-    votes.iter().enumerate().all(|(c, &v)| {
-        c == leader || v + remaining < lead || (v + remaining == lead && c < leader)
-    })
+    votes
+        .iter()
+        .enumerate()
+        .all(|(c, &v)| c == leader || v + remaining < lead || (v + remaining == lead && c < leader))
 }
 
 /// A `MonitorEvent` with every float replaced by its bits, so `==` is
@@ -233,7 +234,10 @@ fn monitor_matches_the_all_cluster_oracle() {
             unscored += usize::from(i > 0 && event.score.is_none());
             alarms += usize::from(event.alarm);
             let position = i + 1;
-            if settled_at.is_none() && position < lock_in && settled(&reference.votes, lock_in - position) {
+            if settled_at.is_none()
+                && position < lock_in
+                && settled(&reference.votes, lock_in - position)
+            {
                 settled_at = Some(position);
             }
         }

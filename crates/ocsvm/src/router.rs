@@ -232,10 +232,10 @@ impl LockInVote {
 
     /// The leader's index and vote count.
     fn lead(&self) -> (usize, usize) {
-        self.votes
-            .iter()
-            .enumerate()
-            .fold((0, 0), |best, (c, &v)| if v >= best.1 { (c, v) } else { best })
+        self.votes.iter().enumerate().fold(
+            (0, 0),
+            |best, (c, &v)| if v >= best.1 { (c, v) } else { best },
+        )
     }
 }
 
@@ -306,14 +306,20 @@ mod tests {
     /// Every way to split `total` ballots among `parts` clusters.
     fn splits(total: usize, parts: usize) -> Vec<Vec<usize>> {
         if parts == 0 {
-            return if total == 0 { vec![Vec::new()] } else { Vec::new() };
+            return if total == 0 {
+                vec![Vec::new()]
+            } else {
+                Vec::new()
+            };
         }
         (0..=total)
             .flat_map(|first| {
-                splits(total - first, parts - 1).into_iter().map(move |mut rest| {
-                    rest.insert(0, first);
-                    rest
-                })
+                splits(total - first, parts - 1)
+                    .into_iter()
+                    .map(move |mut rest| {
+                        rest.insert(0, first);
+                        rest
+                    })
             })
             .collect()
     }
@@ -380,7 +386,11 @@ mod tests {
         for n in 1..=5 {
             let vote = LockInVote::new(n, 0);
             assert!(vote.is_settled());
-            assert_eq!(vote.leader(), ClusterId(n - 1), "the last cluster wins an empty vote");
+            assert_eq!(
+                vote.leader(),
+                ClusterId(n - 1),
+                "the last cluster wins an empty vote"
+            );
         }
         let mut vote = LockInVote::new(3, 2);
         vote.record(0);
@@ -393,7 +403,10 @@ mod tests {
     fn vote_with_ballots_to_come_is_never_settled_before_the_first() {
         for n in 2..=6 {
             for ballots in 1..=20 {
-                assert!(!LockInVote::new(n, ballots).is_settled(), "{n} clusters, {ballots} ballots");
+                assert!(
+                    !LockInVote::new(n, ballots).is_settled(),
+                    "{n} clusters, {ballots} ballots"
+                );
             }
         }
     }
@@ -415,7 +428,10 @@ mod tests {
 
     #[test]
     fn empty_session_routes_to_the_last_cluster() {
-        assert_eq!(two_cluster_router().route_with_lock_in(&[], 15), ClusterId(1));
+        assert_eq!(
+            two_cluster_router().route_with_lock_in(&[], 15),
+            ClusterId(1)
+        );
     }
 
     #[test]

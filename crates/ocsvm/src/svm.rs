@@ -604,13 +604,7 @@ mod tests {
 
     #[test]
     fn svm_with_one_support_vector() {
-        let svm = OcSvm::from_parts(
-            rbf(2.0),
-            vec![vec![0.0, 0.4, 0.0, 0.6]],
-            vec![1.0],
-            0.5,
-            4,
-        );
+        let svm = OcSvm::from_parts(rbf(2.0), vec![vec![0.0, 0.4, 0.0, 0.6]], vec![1.0], 0.5, 4);
         assert_eq!(svm.columns.values, vec![0.4, 0.6]);
         assert_matches_dense(
             &svm,
@@ -634,8 +628,7 @@ mod tests {
         let featurizer = SessionFeaturizer::new(30, true);
         let mut rng = StdRng::seed_from_u64(9);
         let mut bag = |len: usize| -> Vec<f64> {
-            let actions: Vec<ActionId> =
-                (0..len).map(|_| ActionId(rng.gen_range(0..33))).collect();
+            let actions: Vec<ActionId> = (0..len).map(|_| ActionId(rng.gen_range(0..33))).collect();
             featurizer.features(&actions)
         };
         let data: Vec<Vec<f64>> = (0..40).map(|i| bag(1 + i % 12)).collect();
