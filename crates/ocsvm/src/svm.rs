@@ -560,9 +560,12 @@ mod tests {
 
     /// `n_sv = 0` is what a decoded model with no support vectors holds:
     /// the score is `−ρ`, with the dense reference's bits (the empty sum's
-    /// sign included), and nothing panics.
+    /// sign included), and nothing panics, on the router's path either.
     #[test]
     fn svm_without_support_vectors_scores_minus_rho() {
+        use crate::features::SessionFeaturizer;
+        use crate::router::ClusterRouter;
+        use ibcm_logsim::ActionId;
         for rho in [0.0, -0.0, 0.37] {
             let svm = OcSvm::from_parts(rbf(3.0), Vec::new(), Vec::new(), rho, 3);
             assert!(svm.columns.index.is_empty());
@@ -573,6 +576,16 @@ mod tests {
             let back = OcSvm::read_bytes(&mut buf.freeze()).unwrap();
             assert_eq!(back, svm);
             assert_matches_dense(&back, &[vec![0.0, 1.0, 0.0]]);
+            let router = ClusterRouter::new(vec![back], SessionFeaturizer::new(2, true));
+            let actions = [ActionId(1), ActionId(0), ActionId(1)];
+            let x = router.featurizer().features(&actions);
+            let scores: Vec<u64> = router
+                .scores(&actions)
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            assert_eq!(scores, vec![dense_decision(&svm, &x).to_bits()]);
+            assert_eq!(router.route_with_lock_in(&actions, 15).index(), 0);
         }
     }
 
