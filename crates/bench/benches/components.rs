@@ -26,7 +26,11 @@ fn bench_matrix(c: &mut Criterion) {
 fn bench_lstm(c: &mut Criterion) {
     let lstm = LstmLayer::new(300, 64, 1);
     let inputs: Vec<Vec<StepInput>> = (0..20)
-        .map(|t| (0..32).map(|b| StepInput::Action((t * 7 + b) % 300)).collect())
+        .map(|t| {
+            (0..32)
+                .map(|b| StepInput::Action((t * 7 + b) % 300))
+                .collect()
+        })
         .collect();
     c.bench_function("lstm/forward_b32_t20_h64_v300", |bencher| {
         bencher.iter(|| std::hint::black_box(lstm.forward(&inputs)))
@@ -94,8 +98,9 @@ fn bench_router(c: &mut Criterion) {
         .map(|k| {
             let data: Vec<Vec<f64>> = (0..40)
                 .map(|i| {
-                    let actions: Vec<ActionId> =
-                        (0..12).map(|j| ActionId((k * 20 + (i + j) % 10) % 300)).collect();
+                    let actions: Vec<ActionId> = (0..12)
+                        .map(|j| ActionId((k * 20 + (i + j) % 10) % 300))
+                        .collect();
                     featurizer.features(&actions)
                 })
                 .collect();
@@ -115,7 +120,9 @@ fn bench_router(c: &mut Criterion) {
 }
 
 fn bench_scorer(c: &mut Criterion) {
-    let seqs: Vec<Vec<usize>> = (0..16).map(|i| (0..14).map(|j| (i + j) % 50).collect()).collect();
+    let seqs: Vec<Vec<usize>> = (0..16)
+        .map(|i| (0..14).map(|j| (i + j) % 50).collect())
+        .collect();
     let lm = LstmLm::train(
         &LmTrainConfig {
             vocab: 50,
@@ -135,7 +142,9 @@ fn bench_scorer(c: &mut Criterion) {
 }
 
 fn bench_ngram(c: &mut Criterion) {
-    let seqs: Vec<Vec<usize>> = (0..200).map(|i| (0..15).map(|j| (i + j) % 80).collect()).collect();
+    let seqs: Vec<Vec<usize>> = (0..200)
+        .map(|i| (0..15).map(|j| (i + j) % 80).collect())
+        .collect();
     c.bench_function("ngram/train_200seqs", |bencher| {
         bencher.iter(|| {
             std::hint::black_box(
@@ -173,9 +182,7 @@ fn bench_tsne(c: &mut Criterion) {
 
 fn bench_generator(c: &mut Criterion) {
     c.bench_function("logsim/generate_400_sessions", |bencher| {
-        bencher.iter(|| {
-            std::hint::black_box(Generator::new(GeneratorConfig::tiny(1)).generate())
-        })
+        bencher.iter(|| std::hint::black_box(Generator::new(GeneratorConfig::tiny(1)).generate()))
     });
 }
 
@@ -230,7 +237,9 @@ fn bench_detector(c: &mut Criterion) {
 }
 
 fn bench_patterns(c: &mut Criterion) {
-    let seqs: Vec<Vec<usize>> = (0..100).map(|i| (0..12).map(|j| (i + j) % 20).collect()).collect();
+    let seqs: Vec<Vec<usize>> = (0..100)
+        .map(|i| (0..12).map(|j| (i + j) % 20).collect())
+        .collect();
     c.bench_function("patterns/prefixspan_100seqs", |bencher| {
         bencher.iter(|| std::hint::black_box(PrefixSpan::new(10, 3).mine(&seqs)))
     });

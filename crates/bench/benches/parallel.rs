@@ -52,11 +52,7 @@ fn bench_parallel_training(c: &mut Criterion) {
         let groups = groups.clone();
         c.bench_function(&format!("train_clustered/threads_{threads}"), |b| {
             b.iter(|| {
-                std::hint::black_box(
-                    pipeline
-                        .train_clustered(&dataset, groups.clone())
-                        .unwrap(),
-                )
+                std::hint::black_box(pipeline.train_clustered(&dataset, groups.clone()).unwrap())
             })
         });
         if n == 1 {

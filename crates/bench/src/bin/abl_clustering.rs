@@ -47,15 +47,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let mut keys: Vec<usize> = by_arch.keys().copied().collect();
         keys.sort_unstable();
-        keys.into_iter().map(|a| by_arch.remove(&a).unwrap()).collect()
+        keys.into_iter()
+            .map(|a| by_arch.remove(&a).unwrap())
+            .collect()
     };
 
     let strategies: Vec<(&str, Vec<Vec<Session>>)> = vec![
         (
             "kmeans",
-            group(&kmeans_assignment(trained.ensemble(), k, 25, harness.seed), k),
+            group(
+                &kmeans_assignment(trained.ensemble(), k, 25, harness.seed),
+                k,
+            ),
         ),
-        ("random", group(&random_assignment(n_docs, k, harness.seed), k)),
+        (
+            "random",
+            group(&random_assignment(n_docs, k, harness.seed), k),
+        ),
         ("archetype_oracle", archetype_groups),
     ];
 
@@ -66,10 +74,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let fig4 = fig4_cluster_vs_others(&trained);
         let own: f64 =
             fig4.iter().map(|r| r.own_accuracy as f64).sum::<f64>() / fig4.len().max(1) as f64;
-        let others: f64 = fig4.iter().map(|r| r.others_accuracy as f64).sum::<f64>()
-            / fig4.len().max(1) as f64;
+        let others: f64 =
+            fig4.iter().map(|r| r.others_accuracy as f64).sum::<f64>() / fig4.len().max(1) as f64;
         let purity = cluster_data_purity(trained.clusters());
-        println!("expert,{},{purity:.4},{own:.4},{others:.4}", trained.clusters().len());
+        println!(
+            "expert,{},{purity:.4},{own:.4},{others:.4}",
+            trained.clusters().len()
+        );
         rows.push(vec![
             "expert".to_string(),
             trained.clusters().len().to_string(),
@@ -115,7 +126,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let own = own_sum / n.max(1) as f64;
         let others = others_sum / n.max(1) as f64;
-        println!("{label},{},{purity:.4},{own:.4},{others:.4}", clusters.len());
+        println!(
+            "{label},{},{purity:.4},{own:.4},{others:.4}",
+            clusters.len()
+        );
         rows.push(vec![
             label.to_string(),
             clusters.len().to_string(),
@@ -126,7 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     harness.write_csv(
         "abl_clustering",
-        &["strategy", "clusters", "purity", "mean_own_accuracy", "mean_others_accuracy"],
+        "strategy,clusters,purity,mean_own_accuracy,mean_others_accuracy",
         rows,
     )?;
     Ok(())

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     harness.write_csv(
         "abl_depth",
-        &["cluster", "size", "acc_1layer", "acc_2layer", "secs_1layer", "secs_2layer"],
+        "cluster,size,acc_1layer,acc_2layer,secs_1layer,secs_2layer",
         rows,
     )?;
     Ok(())

@@ -11,7 +11,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
     let dataset = harness.dataset();
     let trained = harness.train(&dataset)?;
-    let rows = detection_quality(&trained, &dataset, 200, harness.seed ^ 0xa0c, harness.threads);
+    let rows = detection_quality(
+        &trained,
+        &dataset,
+        200,
+        harness.seed ^ 0xa0c,
+        harness.threads,
+    );
     println!("population,auc_likelihood,auc_loss,auc_perplexity,n_abnormal,n_normal");
     let mut csv = Vec::new();
     for r in &rows {
@@ -30,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     harness.write_csv(
         "abl_detection_quality",
-        &["population", "auc_likelihood", "auc_loss", "auc_perplexity", "n_abnormal", "n_normal"],
+        "population,auc_likelihood,auc_loss,auc_perplexity,n_abnormal,n_normal",
         csv,
     )?;
     Ok(())

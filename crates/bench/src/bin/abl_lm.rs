@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     harness.write_csv(
         "abl_lm",
-        &["cluster", "size", "lstm_acc", "ngram_acc", "hmm_acc", "lstm_sep", "ngram_sep", "hmm_sep"],
+        "cluster,size,lstm_acc,ngram_acc,hmm_acc,lstm_sep,ngram_sep,hmm_sep",
         rows,
     )?;
     Ok(())

@@ -1,32 +1,11 @@
-//! Ablation: routing strategy comparison. The paper routes with per-cluster
-//! OC-SVM argmax (locked in over the first 15 actions); this sweep compares
-//! it against nearest-centroid and k-NN routing on the same bag features,
-//! measuring the fraction of test sessions routed back to their own
-//! cluster.
+//! Ablation: trains the pipeline and writes the routing-strategy sweep,
+//! `abl_router.csv`, through [`ibcm_bench::figures::abl_router`].
 
-use ibcm_bench::{fmt, Harness};
-use ibcm_core::experiments::{routing_accuracy, RoutingStrategy};
+use ibcm_bench::{figures, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
-    let dataset = harness.dataset();
-    let trained = harness.train(&dataset)?;
-    let strategies = [
-        RoutingStrategy::Full,
-        RoutingStrategy::LockIn(5),
-        RoutingStrategy::LockIn(15),
-        RoutingStrategy::LockIn(50),
-        RoutingStrategy::NearestCentroid,
-        RoutingStrategy::Knn(1),
-        RoutingStrategy::Knn(5),
-    ];
-    println!("strategy,routing_accuracy");
-    let mut rows = Vec::new();
-    for s in strategies {
-        let acc = routing_accuracy(&trained, s, harness.threads);
-        println!("{},{acc:.4}", s.label());
-        rows.push(vec![s.label(), fmt(acc)]);
-    }
-    harness.write_csv("abl_router", &["strategy", "routing_accuracy"], rows)?;
+    let trained = harness.train(&harness.dataset())?;
+    figures::abl_router(&harness, &trained)?;
     Ok(())
 }

@@ -23,6 +23,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{label},{acc:.4}");
         rows.push(vec![label, fmt(acc)]);
     }
-    harness.write_csv("abl_window", &["lock_in", "routing_accuracy"], rows)?;
+    harness.write_csv("abl_window", "lock_in,routing_accuracy", rows)?;
     Ok(())
 }

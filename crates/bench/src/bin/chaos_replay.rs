@@ -211,20 +211,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     harness.write_csv(
         "chaos_replay",
-        &[
-            "scenario",
-            "events",
-            "injected",
-            "alarms",
-            "shed_alarms",
-            "non_monotonic",
-            "duplicate",
-            "unknown_action",
-            "unknown_user",
-            "dropped",
-            "shed",
-            "active_at_end",
-        ],
+        "scenario,events,injected,alarms,shed_alarms,non_monotonic,duplicate,unknown_action,unknown_user,dropped,shed,active_at_end",
         rows,
     )?;
 

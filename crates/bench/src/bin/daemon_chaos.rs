@@ -147,19 +147,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     harness.write_csv(
         "daemon_chaos",
-        &[
-            "campaign",
-            "shards",
-            "kills",
-            "restarts",
-            "restores_newest",
-            "restores_fallback",
-            "restores_fresh",
-            "corrupted",
-            "alarms",
-            "identical",
-            "drain_seconds",
-        ],
+        "campaign,shards,kills,restarts,restores_newest,restores_fallback,restores_fresh,corrupted,alarms,identical,drain_seconds",
         rows,
     )?;
 

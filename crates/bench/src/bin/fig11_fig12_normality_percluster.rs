@@ -1,61 +1,13 @@
-//! Figs. 11 and 12 (appendix): per-cluster normality — average likelihood
-//! (Fig. 11) and average loss (Fig. 12) on each cluster's test set under
-//! four baselines: the known true cluster's model, the model routed by
-//! full-session OC-SVM argmax, the model locked in over the first 15
-//! actions, and the global model. Expected shape: stronger (larger-cluster)
-//! models score higher; first-actions lock-in tracks the true-cluster
-//! scores closely, avoiding the OC-SVM long-session pathology.
+//! Figs. 11 and 12: trains the pipeline and the global baselines and writes
+//! `fig11_fig12_normality_percluster.csv` through
+//! [`ibcm_bench::figures::fig11_fig12_normality_percluster`].
 
-use ibcm_bench::{fmt, Harness};
-use ibcm_core::experiments::{fig11_fig12_per_cluster, train_global_baselines};
+use ibcm_bench::{figures, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
-    let dataset = harness.dataset();
-    let trained = harness.train(&dataset)?;
-    let lm = harness.scale.pipeline_config(harness.seed).lm;
-    let baselines = train_global_baselines(&trained, &lm, harness.seed)?;
-    let rows = fig11_fig12_per_cluster(&trained, &baselines.global, harness.threads);
-    println!(
-        "cluster,size,true_lik,routed_lik,locked_lik,global_lik,true_loss,routed_loss,locked_loss,global_loss"
-    );
-    for r in &rows {
-        println!(
-            "{},{},{:.5},{:.5},{:.5},{:.5},{:.4},{:.4},{:.4},{:.4}",
-            r.cluster,
-            r.size,
-            r.true_cluster.avg_likelihood,
-            r.routed.avg_likelihood,
-            r.locked.avg_likelihood,
-            r.global.avg_likelihood,
-            r.true_cluster.avg_loss,
-            r.routed.avg_loss,
-            r.locked.avg_loss,
-            r.global.avg_loss,
-        );
-    }
-    harness.write_csv(
-        "fig11_fig12_normality_percluster",
-        &[
-            "cluster", "size", "true_lik", "routed_lik", "locked_lik", "global_lik",
-            "true_loss", "routed_loss", "locked_loss", "global_loss",
-        ],
-        rows.iter()
-            .map(|r| {
-                vec![
-                    r.cluster.to_string(),
-                    r.size.to_string(),
-                    fmt(r.true_cluster.avg_likelihood as f64),
-                    fmt(r.routed.avg_likelihood as f64),
-                    fmt(r.locked.avg_likelihood as f64),
-                    fmt(r.global.avg_likelihood as f64),
-                    fmt(r.true_cluster.avg_loss as f64),
-                    fmt(r.routed.avg_loss as f64),
-                    fmt(r.locked.avg_loss as f64),
-                    fmt(r.global.avg_loss as f64),
-                ]
-            })
-            .collect(),
-    )?;
+    let trained = harness.train(&harness.dataset())?;
+    let baselines = harness.global_baselines(&trained)?;
+    figures::fig11_fig12_normality_percluster(&harness, &trained, &baselines)?;
     Ok(())
 }

@@ -1,10 +1,9 @@
-//! Fig. 1: the data behind the three views of the experts' visual interface
-//! — the t-SNE topic projection, the topic-action matrix, and the chord
-//! diagram — exported as JSON for any front end to render.
+//! Fig. 1: fits the LDA ensemble alone, without the rest of the pipeline,
+//! and writes the seven `fig1_*` files through
+//! [`ibcm_bench::figures::fig1_views`].
 
-use ibcm_bench::Harness;
+use ibcm_bench::{figures, Harness};
 use ibcm_topics::{sessions_to_docs, Ensemble};
-use ibcm_viz::{ChordDiagramView, TopicActionMatrixView, TopicProjectionView, TsneConfig, VizExport};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
@@ -20,43 +19,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ensemble.runs().len(),
         ensemble.topics().len()
     );
-
-    let projection = TopicProjectionView::compute(&ensemble, &TsneConfig::default());
-    let matrix = TopicActionMatrixView::compute(&ensemble, dataset.catalog(), 0.02);
-    let all_topics: Vec<_> = ensemble.topics().iter().map(|t| t.id).collect();
-    let chord = ChordDiagramView::compute(&ensemble, &all_topics, 0.02);
-
-    let dir = harness.results_dir().to_path_buf();
-    VizExport::write_json(
-        dir.join("fig1_projection.json"),
-        &VizExport::projection_json(&projection),
-    )?;
-    VizExport::write_json(dir.join("fig1_matrix.json"), &VizExport::matrix_json(&matrix))?;
-    VizExport::write_json(dir.join("fig1_chord.json"), &VizExport::chord_json(&chord))?;
-    std::fs::write(
-        dir.join("fig1_projection.svg"),
-        ibcm_viz::svg::render_projection(&projection, 640.0),
-    )?;
-    std::fs::write(
-        dir.join("fig1_matrix.svg"),
-        ibcm_viz::svg::render_matrix(&matrix, 10.0),
-    )?;
-    std::fs::write(
-        dir.join("fig1_chord.svg"),
-        ibcm_viz::svg::render_chord(&chord, 640.0),
-    )?;
-    std::fs::write(
-        dir.join("fig1_dashboard.html"),
-        ibcm_viz::svg::render_dashboard(&projection, &matrix, &chord, "ibcm — expert interface views (Fig. 1)"),
-    )?;
-    println!(
-        "projection: {} points; matrix: {}x{}; chord: {} fans, {} links",
-        projection.points.len(),
-        matrix.n_rows(),
-        matrix.n_cols(),
-        chord.fan_sizes.len(),
-        chord.links.len()
-    );
-    println!("JSON + SVG written to {}", dir.display());
+    figures::fig1_views(&harness, &ensemble, dataset.catalog())?;
     Ok(())
 }

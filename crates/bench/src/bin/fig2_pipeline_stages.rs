@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{stage},{secs:.2}");
         rows.push(vec![stage.clone(), fmt(*secs)]);
     }
-    harness.write_csv("fig2_pipeline_stages", &["stage", "seconds"], rows)?;
+    harness.write_csv("fig2_pipeline_stages", "stage,seconds", rows)?;
 
     println!("\ncluster,train,validation,test");
     let mut rows = Vec::new();
@@ -31,10 +31,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             test.to_string(),
         ]);
     }
-    harness.write_csv(
-        "fig2_cluster_splits",
-        &["cluster", "train", "validation", "test"],
-        rows,
-    )?;
+    harness.write_csv("fig2_cluster_splits", "cluster,train,validation,test", rows)?;
     Ok(())
 }

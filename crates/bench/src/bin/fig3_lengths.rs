@@ -1,29 +1,9 @@
-//! Fig. 3: histogram of session lengths (mean ~= 15, 98% < 91, max > 800 at
-//! paper scale).
+//! Fig. 3: writes `fig3_lengths.csv` through [`ibcm_bench::figures::fig3_lengths`].
 
-use ibcm_bench::Harness;
+use ibcm_bench::{figures, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
-    let dataset = harness.dataset();
-    let hist = dataset.length_histogram(10);
-    println!("bin_start,count");
-    for &(bin, count) in &hist {
-        if count > 0 {
-            println!("{bin},{count}");
-        }
-    }
-    let stats = dataset.stats();
-    println!(
-        "# mean={:.2} p98={} max={}",
-        stats.mean_length, stats.p98_length, stats.max_length
-    );
-    harness.write_csv(
-        "fig3_lengths",
-        &["bin_start", "count"],
-        hist.into_iter()
-            .map(|(b, c)| vec![b.to_string(), c.to_string()])
-            .collect(),
-    )?;
+    figures::fig3_lengths(&harness, &harness.dataset())?;
     Ok(())
 }

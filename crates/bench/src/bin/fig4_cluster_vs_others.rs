@@ -1,38 +1,11 @@
-//! Fig. 4: per-cluster model accuracy on its own test set vs. the same
-//! model's average accuracy on all other clusters' test sets (clusters in
-//! ascending size). The paper's expected shape: own > others everywhere,
-//! with larger clusters producing stronger models overall.
+//! Fig. 4: trains the pipeline and writes `fig4_cluster_vs_others.csv`
+//! through [`ibcm_bench::figures::fig4_cluster_vs_others`].
 
-use ibcm_bench::{fmt, Harness};
-use ibcm_core::experiments::fig4_cluster_vs_others;
+use ibcm_bench::{figures, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
-    let dataset = harness.dataset();
-    let trained = harness.train(&dataset)?;
-    let rows = fig4_cluster_vs_others(&trained);
-    println!("cluster,size,own_accuracy,others_accuracy,own_loss,others_loss");
-    for r in &rows {
-        println!(
-            "{},{},{:.4},{:.4},{:.4},{:.4}",
-            r.cluster, r.size, r.own_accuracy, r.others_accuracy, r.own_loss, r.others_loss
-        );
-    }
-    harness.write_csv(
-        "fig4_cluster_vs_others",
-        &["cluster", "size", "own_accuracy", "others_accuracy", "own_loss", "others_loss"],
-        rows.iter()
-            .map(|r| {
-                vec![
-                    r.cluster.to_string(),
-                    r.size.to_string(),
-                    fmt(r.own_accuracy as f64),
-                    fmt(r.others_accuracy as f64),
-                    fmt(r.own_loss as f64),
-                    fmt(r.others_loss as f64),
-                ]
-            })
-            .collect(),
-    )?;
+    let trained = harness.train(&harness.dataset())?;
+    figures::fig4_cluster_vs_others(&harness, &trained)?;
     Ok(())
 }

@@ -1,53 +1,13 @@
-//! Figs. 5 and 10: per-cluster accuracy (Fig. 5) and loss (Fig. 10) of the
-//! cluster model vs. the global model vs. a size-matched random-subset
-//! global model. The paper's expected shape: cluster models dominate the
-//! size-matched baseline everywhere and catch up to (or beat) the full
-//! global model once clusters are large enough.
+//! Figs. 5 and 10: trains the pipeline and the global baselines and writes
+//! `fig5_accuracy_baselines.csv` and `fig10_loss_baselines.csv` through
+//! [`ibcm_bench::figures::fig5_fig10_baselines`].
 
-use ibcm_bench::{fmt, Harness};
-use ibcm_core::experiments::{fig5_fig10_baselines, train_global_baselines};
+use ibcm_bench::{figures, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
-    let dataset = harness.dataset();
-    let trained = harness.train(&dataset)?;
-    let lm = harness.scale.pipeline_config(harness.seed).lm;
-    let baselines = train_global_baselines(&trained, &lm, harness.seed)?;
-    let rows = fig5_fig10_baselines(&trained, &baselines);
-    println!("cluster,size,cluster_acc,global_acc,subset_acc,cluster_loss,global_loss,subset_loss");
-    for r in &rows {
-        println!(
-            "{},{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}",
-            r.cluster,
-            r.size,
-            r.cluster_model.accuracy,
-            r.global_model.accuracy,
-            r.subset_model.accuracy,
-            r.cluster_model.avg_loss,
-            r.global_model.avg_loss,
-            r.subset_model.avg_loss,
-        );
-    }
-    let csv_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.cluster.to_string(),
-                r.size.to_string(),
-                fmt(r.cluster_model.accuracy as f64),
-                fmt(r.global_model.accuracy as f64),
-                fmt(r.subset_model.accuracy as f64),
-                fmt(r.cluster_model.avg_loss as f64),
-                fmt(r.global_model.avg_loss as f64),
-                fmt(r.subset_model.avg_loss as f64),
-            ]
-        })
-        .collect();
-    let header = [
-        "cluster", "size", "cluster_acc", "global_acc", "subset_acc", "cluster_loss",
-        "global_loss", "subset_loss",
-    ];
-    harness.write_csv("fig5_accuracy_baselines", &header, csv_rows.clone())?;
-    harness.write_csv("fig10_loss_baselines", &header, csv_rows)?;
+    let trained = harness.train(&harness.dataset())?;
+    let baselines = harness.global_baselines(&trained)?;
+    figures::fig5_fig10_baselines(&harness, &trained, &baselines)?;
     Ok(())
 }

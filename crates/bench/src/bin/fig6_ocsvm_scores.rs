@@ -1,41 +1,11 @@
-//! Fig. 6: development of OC-SVM decision scores per action position over
-//! the united test sets — the score of the session's *true* cluster's
-//! OC-SVM vs. the maximum score over all OC-SVMs. The paper's expected
-//! shape: both curves decay as sessions grow longer than the average,
-//! because all OC-SVMs treat unusually long sessions as outliers (the
-//! observation motivating the 15-action lock-in).
+//! Fig. 6: trains the pipeline and writes `fig6_ocsvm_scores.csv` through
+//! [`ibcm_bench::figures::fig6_ocsvm_scores`].
 
-use ibcm_bench::{fmt, Harness};
-use ibcm_core::experiments::fig6_ocsvm_scores;
+use ibcm_bench::{figures, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
-    let dataset = harness.dataset();
-    let trained = harness.train(&dataset)?;
-    let rows = fig6_ocsvm_scores(&trained, 300, harness.threads);
-    println!("position,right_mean,max_mean,count");
-    for r in rows.iter().take(40) {
-        println!(
-            "{},{:.6},{:.6},{}",
-            r.position, r.right_mean, r.max_mean, r.count
-        );
-    }
-    if rows.len() > 40 {
-        println!("... ({} positions total)", rows.len());
-    }
-    harness.write_csv(
-        "fig6_ocsvm_scores",
-        &["position", "right_mean", "max_mean", "count"],
-        rows.iter()
-            .map(|r| {
-                vec![
-                    r.position.to_string(),
-                    fmt(r.right_mean),
-                    fmt(r.max_mean),
-                    r.count.to_string(),
-                ]
-            })
-            .collect(),
-    )?;
+    let trained = harness.train(&harness.dataset())?;
+    figures::fig6_ocsvm_scores(&harness, &trained)?;
     Ok(())
 }

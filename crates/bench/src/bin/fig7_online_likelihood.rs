@@ -1,43 +1,11 @@
-//! Fig. 7: the online regime — average likelihood of each next action over
-//! the united test sets under the two realistic routing baselines: the
-//! cluster re-predicted at every step vs. the cluster locked in by majority
-//! vote over the first 15 actions. The paper's expected shape: stable
-//! likelihood over the first ~100 actions, decaying with growing variance
-//! beyond; the locked-in router develops more smoothly early on.
+//! Fig. 7: trains the pipeline and writes `fig7_online_likelihood.csv`
+//! through [`ibcm_bench::figures::fig7_online_likelihood`].
 
-use ibcm_bench::{fmt, Harness};
-use ibcm_core::experiments::fig7_online_likelihood;
+use ibcm_bench::{figures, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
-    let dataset = harness.dataset();
-    let trained = harness.train(&dataset)?;
-    let rows = fig7_online_likelihood(&trained, 300, harness.threads);
-    println!("position,every_step_mean,every_step_std,locked_mean,locked_std,count");
-    for r in rows.iter().take(40) {
-        println!(
-            "{},{:.5},{:.5},{:.5},{:.5},{}",
-            r.position, r.every_step_mean, r.every_step_std, r.locked_mean, r.locked_std, r.count
-        );
-    }
-    if rows.len() > 40 {
-        println!("... ({} positions total)", rows.len());
-    }
-    harness.write_csv(
-        "fig7_online_likelihood",
-        &["position", "every_step_mean", "every_step_std", "locked_mean", "locked_std", "count"],
-        rows.iter()
-            .map(|r| {
-                vec![
-                    r.position.to_string(),
-                    fmt(r.every_step_mean),
-                    fmt(r.every_step_std),
-                    fmt(r.locked_mean),
-                    fmt(r.locked_std),
-                    r.count.to_string(),
-                ]
-            })
-            .collect(),
-    )?;
+    let trained = harness.train(&harness.dataset())?;
+    figures::fig7_online_likelihood(&harness, &trained)?;
     Ok(())
 }

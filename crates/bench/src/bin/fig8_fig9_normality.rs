@@ -1,37 +1,12 @@
-//! Figs. 8 and 9: normality estimation — average per-action likelihood and
-//! average loss of the real test sessions vs. an artificial abnormal test
-//! set (same session count, lengths uniform in [5, 25], uniformly random
-//! actions). The paper's expected shape: random sessions score at the level
-//! of chance likelihood (~1/|A|) and roughly double the loss of real data.
+//! Figs. 8 and 9: trains the pipeline and writes `fig8_fig9_normality.csv`
+//! through [`ibcm_bench::figures::fig8_fig9_normality`].
 
-use ibcm_bench::{fmt, Harness};
-use ibcm_core::experiments::fig8_fig9_normality;
+use ibcm_bench::{figures, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
     let dataset = harness.dataset();
     let trained = harness.train(&dataset)?;
-    let rows = fig8_fig9_normality(&trained, &dataset, harness.seed ^ 0xab, harness.threads);
-    println!("population,avg_likelihood,avg_loss,sessions");
-    for r in &rows {
-        println!(
-            "{},{:.6},{:.4},{}",
-            r.label, r.avg_likelihood, r.avg_loss, r.sessions
-        );
-    }
-    harness.write_csv(
-        "fig8_fig9_normality",
-        &["population", "avg_likelihood", "avg_loss", "sessions"],
-        rows.iter()
-            .map(|r| {
-                vec![
-                    r.label.clone(),
-                    fmt(r.avg_likelihood),
-                    fmt(r.avg_loss),
-                    r.sessions.to_string(),
-                ]
-            })
-            .collect(),
-    )?;
+    figures::fig8_fig9_normality(&harness, &trained, &dataset)?;
     Ok(())
 }

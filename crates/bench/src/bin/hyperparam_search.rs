@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     harness.write_csv(
         "hyperparam_search",
-        &["hidden", "learning_rate", "dropout", "val_loss", "val_accuracy", "seconds"],
+        "hidden,learning_rate,dropout,val_loss,val_accuracy,seconds",
         csv,
     )?;
     Ok(())

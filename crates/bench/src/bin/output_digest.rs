@@ -69,8 +69,8 @@ impl std::fmt::Write for Fnv1a {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
+    let scale = Scale::from_env()?;
+    let seed = seed_from_env()?;
     eprintln!("[ibcm] output_digest scale={} seed={seed}", scale.label());
     let mut config = scale.pipeline_config(seed);
     config.lm.epochs = 2;

@@ -1,17 +1,18 @@
-//! Runs the paper's entire evaluation in one process: generates the corpus,
-//! trains the pipeline once, regenerates every table and figure, writes all
-//! CSVs into `results/`, and emits `results/summary.md` with the
-//! shape-checks EXPERIMENTS.md reports.
+//! Runs the paper's evaluation in one process: generates the corpus, trains
+//! the pipeline and the global baselines once, and calls every writer of
+//! [`ibcm_bench::figures`] — the dataset table, Figs. 1 and 3–12, the
+//! §IV-D top-20 and the router ablation. It alone writes
+//! `results/summary.md`, the shape checks EXPERIMENTS.md reports, and
+//! prints it. The other ablations, `fig2_pipeline_stages`,
+//! `hyperparam_search` and `tab1_dataset`'s activity profiles come only
+//! from their own binaries.
 //!
 //! `IBCM_SCALE=test|default|paper` selects the scale, `IBCM_SEED` the seed.
 
 use std::fmt::Write as _;
 
-use ibcm_bench::{fmt, Harness};
-use ibcm_core::experiments::{
-    self, routing_accuracy, RoutingStrategy,
-};
-use ibcm_viz::{TopicActionMatrixView, TopicProjectionView, TsneConfig, VizExport};
+use ibcm_bench::{figures, Harness};
+use ibcm_core::experiments;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
@@ -26,18 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Table 1 & Fig. 3 -------------------------------------------------
-    let stats = experiments::tab1_dataset_stats(&dataset);
-    harness.write_csv(
-        "tab1_dataset",
-        &["metric", "value"],
-        stats.iter().map(|(k, v)| vec![k.clone(), v.clone()]).collect(),
-    )?;
-    let hist = dataset.length_histogram(10);
-    harness.write_csv(
-        "fig3_lengths",
-        &["bin_start", "count"],
-        hist.iter().map(|&(b, c)| vec![b.to_string(), c.to_string()]).collect(),
-    )?;
+    figures::tab1_dataset(&harness, &dataset)?;
+    figures::fig3_lengths(&harness, &dataset)?;
     let ds_stats = dataset.stats();
     let _ = writeln!(
         summary,
@@ -67,58 +58,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Fig. 1 (views) ----------------------------------------------------
-    let projection = TopicProjectionView::compute(trained.ensemble(), &TsneConfig::default());
-    let matrix = TopicActionMatrixView::compute(trained.ensemble(), dataset.catalog(), 0.02);
-    let all_topics: Vec<_> = trained.ensemble().topics().iter().map(|t| t.id).collect();
-    let chord = ibcm_viz::ChordDiagramView::compute(trained.ensemble(), &all_topics, 0.02);
-    VizExport::write_json(
-        harness.results_dir().join("fig1_projection.json"),
-        &VizExport::projection_json(&projection),
-    )?;
-    VizExport::write_json(
-        harness.results_dir().join("fig1_matrix.json"),
-        &VizExport::matrix_json(&matrix),
-    )?;
-    VizExport::write_json(
-        harness.results_dir().join("fig1_chord.json"),
-        &VizExport::chord_json(&chord),
-    )?;
-    std::fs::write(
-        harness.results_dir().join("fig1_projection.svg"),
-        ibcm_viz::svg::render_projection(&projection, 640.0),
-    )?;
-    std::fs::write(
-        harness.results_dir().join("fig1_matrix.svg"),
-        ibcm_viz::svg::render_matrix(&matrix, 10.0),
-    )?;
-    std::fs::write(
-        harness.results_dir().join("fig1_chord.svg"),
-        ibcm_viz::svg::render_chord(&chord, 640.0),
-    )?;
-    std::fs::write(
-        harness.results_dir().join("fig1_dashboard.html"),
-        ibcm_viz::svg::render_dashboard(&projection, &matrix, &chord, "ibcm — expert interface views (Fig. 1)"),
-    )?;
+    figures::fig1_views(&harness, trained.ensemble(), dataset.catalog())?;
 
     // ---- Fig. 4 --------------------------------------------------------------
-    let fig4 = experiments::fig4_cluster_vs_others(&trained);
-    harness.write_csv(
-        "fig4_cluster_vs_others",
-        &["cluster", "size", "own_accuracy", "others_accuracy", "own_loss", "others_loss"],
-        fig4.iter()
-            .map(|r| {
-                vec![
-                    r.cluster.to_string(),
-                    r.size.to_string(),
-                    fmt(r.own_accuracy as f64),
-                    fmt(r.others_accuracy as f64),
-                    fmt(r.own_loss as f64),
-                    fmt(r.others_loss as f64),
-                ]
-            })
-            .collect(),
-    )?;
-    let own_wins = fig4.iter().filter(|r| r.own_accuracy > r.others_accuracy).count();
+    let fig4 = figures::fig4_cluster_vs_others(&harness, &trained)?;
+    let own_wins = fig4
+        .iter()
+        .filter(|r| r.own_accuracy > r.others_accuracy)
+        .count();
     let _ = writeln!(
         summary,
         "## Fig. 4 — cluster model specificity\n\nown accuracy beats the average on other clusters for {}/{} clusters (paper: all).\n",
@@ -127,30 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Figs. 5 & 10 ---------------------------------------------------------
-    let lm_cfg = harness.scale.pipeline_config(harness.seed).lm;
-    let baselines = experiments::train_global_baselines(&trained, &lm_cfg, harness.seed)?;
-    let fig5 = experiments::fig5_fig10_baselines(&trained, &baselines);
-    let header5 = [
-        "cluster", "size", "cluster_acc", "global_acc", "subset_acc", "cluster_loss",
-        "global_loss", "subset_loss",
-    ];
-    let rows5: Vec<Vec<String>> = fig5
-        .iter()
-        .map(|r| {
-            vec![
-                r.cluster.to_string(),
-                r.size.to_string(),
-                fmt(r.cluster_model.accuracy as f64),
-                fmt(r.global_model.accuracy as f64),
-                fmt(r.subset_model.accuracy as f64),
-                fmt(r.cluster_model.avg_loss as f64),
-                fmt(r.global_model.avg_loss as f64),
-                fmt(r.subset_model.avg_loss as f64),
-            ]
-        })
-        .collect();
-    harness.write_csv("fig5_accuracy_baselines", &header5, rows5.clone())?;
-    harness.write_csv("fig10_loss_baselines", &header5, rows5)?;
+    let baselines = harness.global_baselines(&trained)?;
+    let fig5 = figures::fig5_fig10_baselines(&harness, &trained, &baselines)?;
     let beats_subset = fig5
         .iter()
         .filter(|r| r.cluster_model.accuracy >= r.subset_model.accuracy)
@@ -171,21 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Fig. 6 -----------------------------------------------------------------
-    let fig6 = experiments::fig6_ocsvm_scores(&trained, 300, harness.threads);
-    harness.write_csv(
-        "fig6_ocsvm_scores",
-        &["position", "right_mean", "max_mean", "count"],
-        fig6.iter()
-            .map(|r| {
-                vec![
-                    r.position.to_string(),
-                    fmt(r.right_mean),
-                    fmt(r.max_mean),
-                    r.count.to_string(),
-                ]
-            })
-            .collect(),
-    )?;
+    let fig6 = figures::fig6_ocsvm_scores(&harness, &trained)?;
     if let (Some(early), Some(late)) = (
         fig6.iter().find(|r| r.position == 5),
         fig6.iter().rev().find(|r| r.position >= 40),
@@ -198,25 +109,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // ---- Fig. 7 ---------------------------------------------------------------
-    let fig7 = experiments::fig7_online_likelihood(&trained, 300, harness.threads);
-    harness.write_csv(
-        "fig7_online_likelihood",
-        &["position", "every_step_mean", "every_step_std", "locked_mean", "locked_std", "count"],
-        fig7.iter()
-            .map(|r| {
-                vec![
-                    r.position.to_string(),
-                    fmt(r.every_step_mean),
-                    fmt(r.every_step_std),
-                    fmt(r.locked_mean),
-                    fmt(r.locked_std),
-                    r.count.to_string(),
-                ]
-            })
-            .collect(),
-    )?;
-    let early_mean: f64 = fig7.iter().take(15).map(|r| r.locked_mean).sum::<f64>()
-        / fig7.len().clamp(1, 15) as f64;
+    let fig7 = figures::fig7_online_likelihood(&harness, &trained)?;
+    let early_mean: f64 =
+        fig7.iter().take(15).map(|r| r.locked_mean).sum::<f64>() / fig7.len().clamp(1, 15) as f64;
     let _ = writeln!(
         summary,
         "## Fig. 7 — online regime\n\nmean locked-in likelihood over the first 15 predicted positions: {:.3}; positions covered: {} (paper: stable early, decaying with rising variance later).\n",
@@ -225,21 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Figs. 8 & 9 ----------------------------------------------------------
-    let fig8 = experiments::fig8_fig9_normality(&trained, &dataset, harness.seed ^ 0xab, harness.threads);
-    harness.write_csv(
-        "fig8_fig9_normality",
-        &["population", "avg_likelihood", "avg_loss", "sessions"],
-        fig8.iter()
-            .map(|r| {
-                vec![
-                    r.label.clone(),
-                    fmt(r.avg_likelihood),
-                    fmt(r.avg_loss),
-                    r.sessions.to_string(),
-                ]
-            })
-            .collect(),
-    )?;
+    let fig8 = figures::fig8_fig9_normality(&harness, &trained, &dataset)?;
     let _ = writeln!(
         summary,
         "## Figs. 8 & 9 — normality\n\n| population | avg likelihood | avg loss |\n|---|---|---|\n| real test | {:.4} | {:.3} |\n| random | {:.4} | {:.3} |\n\nlikelihood ratio {:.1}x, loss ratio {:.2}x (paper: random ~ chance likelihood, ~2x loss).\n",
@@ -252,31 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Figs. 11 & 12 -----------------------------------------------------------
-    let fig11 = experiments::fig11_fig12_per_cluster(&trained, &baselines.global, harness.threads);
-    harness.write_csv(
-        "fig11_fig12_normality_percluster",
-        &[
-            "cluster", "size", "true_lik", "routed_lik", "locked_lik", "global_lik",
-            "true_loss", "routed_loss", "locked_loss", "global_loss",
-        ],
-        fig11
-            .iter()
-            .map(|r| {
-                vec![
-                    r.cluster.to_string(),
-                    r.size.to_string(),
-                    fmt(r.true_cluster.avg_likelihood as f64),
-                    fmt(r.routed.avg_likelihood as f64),
-                    fmt(r.locked.avg_likelihood as f64),
-                    fmt(r.global.avg_likelihood as f64),
-                    fmt(r.true_cluster.avg_loss as f64),
-                    fmt(r.routed.avg_loss as f64),
-                    fmt(r.locked.avg_loss as f64),
-                    fmt(r.global.avg_loss as f64),
-                ]
-            })
-            .collect(),
-    )?;
+    let fig11 = figures::fig11_fig12_normality_percluster(&harness, &trained, &baselines)?;
     let lock_close = fig11
         .iter()
         .filter(|r| (r.locked.avg_likelihood - r.true_cluster.avg_likelihood).abs() < 0.1)
@@ -289,23 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- §IV-D top-20 -----------------------------------------------------------
-    let top = experiments::top_suspicious(&trained, &dataset, 10, 20, harness.seed ^ 0x515, harness.threads);
-    harness.write_csv(
-        "top20_suspicious",
-        &["rank", "avg_likelihood", "avg_loss", "cluster", "injected", "actions"],
-        top.iter()
-            .map(|s| {
-                vec![
-                    s.rank.to_string(),
-                    fmt(s.avg_likelihood as f64),
-                    fmt(s.avg_loss as f64),
-                    s.cluster.to_string(),
-                    s.injected_misuse.to_string(),
-                    s.actions.join(" "),
-                ]
-            })
-            .collect(),
-    )?;
+    let top = figures::top20_suspicious(&harness, &trained, &dataset)?;
     let hits = top.iter().filter(|s| s.injected_misuse).count();
     let _ = writeln!(
         summary,
@@ -313,24 +154,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Ablations ---------------------------------------------------------------
-    let mut abl_rows = Vec::new();
-    for s in [
-        RoutingStrategy::Full,
-        RoutingStrategy::LockIn(15),
-        RoutingStrategy::NearestCentroid,
-        RoutingStrategy::Knn(5),
-    ] {
-        let acc = routing_accuracy(&trained, s, harness.threads);
-        abl_rows.push(vec![s.label(), fmt(acc)]);
-    }
-    harness.write_csv("abl_router", &["strategy", "routing_accuracy"], abl_rows)?;
+    figures::abl_router(&harness, &trained)?;
 
     let _ = writeln!(
         summary,
         "---\ntotal wall time: {:.1}s\n",
         t_start.elapsed().as_secs_f64()
     );
-    std::fs::write(harness.results_dir().join("summary.md"), &summary)?;
+    harness.write_file("summary.md", &summary)?;
     println!("{summary}");
     Ok(())
 }

@@ -1,29 +1,19 @@
-//! §IV-A dataset statistics ("Table 1"): sessions, users, actions, and the
-//! session-length distribution summary the paper reports — plus the
-//! exploratory activity profiles an analyst would compute (per-user
-//! activity, sessions per day, action frequency ranking).
+//! §IV-A dataset statistics ("Table 1"): `tab1_dataset.csv` through
+//! [`ibcm_bench::figures::tab1_dataset`], plus the exploratory activity
+//! profiles an analyst would compute, which only this binary writes:
+//! per-user activity, sessions per day and the action frequency ranking.
 
-use ibcm_bench::Harness;
-use ibcm_core::experiments::tab1_dataset_stats;
+use ibcm_bench::{figures, Harness};
 use ibcm_logsim::stats::{action_frequencies, sessions_per_day, user_activity};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
     let dataset = harness.dataset();
-    let rows = tab1_dataset_stats(&dataset);
-    println!("metric,value");
-    for (k, v) in &rows {
-        println!("{k},{v}");
-    }
-    harness.write_csv(
-        "tab1_dataset",
-        &["metric", "value"],
-        rows.into_iter().map(|(k, v)| vec![k, v]).collect(),
-    )?;
+    figures::tab1_dataset(&harness, &dataset)?;
 
     harness.write_csv(
         "tab1_user_activity",
-        &["user", "sessions", "actions", "mean_length", "distinct_actions"],
+        "user,sessions,actions,mean_length,distinct_actions",
         user_activity(&dataset)
             .iter()
             .map(|p| {
@@ -39,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     harness.write_csv(
         "tab1_sessions_per_day",
-        &["day", "sessions"],
+        "day,sessions",
         sessions_per_day(&dataset)
             .iter()
             .enumerate()
@@ -48,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     harness.write_csv(
         "tab1_action_frequencies",
-        &["action", "count", "share"],
+        "action,count,share",
         action_frequencies(&dataset)
             .iter()
             .map(|&(a, c, s)| {

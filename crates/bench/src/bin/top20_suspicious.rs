@@ -1,45 +1,12 @@
-//! §IV-D: the top-20 most suspicious sessions presented to the system
-//! experts. We mix the united test sets with injected misuse bursts (mass
-//! `ActionCreateUser`/`ActionDeleteUser`/unlock sequences of the kind the
-//! paper's experts flagged) and report how many bursts the ranking surfaces.
+//! §IV-D: trains the pipeline and writes `top20_suspicious.csv` through
+//! [`ibcm_bench::figures::top20_suspicious`].
 
-use ibcm_bench::{fmt, Harness};
-use ibcm_core::experiments::top_suspicious;
+use ibcm_bench::{figures, Harness};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let harness = Harness::from_env()?;
     let dataset = harness.dataset();
     let trained = harness.train(&dataset)?;
-    let top = top_suspicious(&trained, &dataset, 10, 20, harness.seed ^ 0x515, harness.threads);
-    let hits = top.iter().filter(|s| s.injected_misuse).count();
-    println!("# {hits}/{} of the top-{} are injected misuse bursts", 10, top.len());
-    println!("rank,avg_likelihood,avg_loss,cluster,injected,actions");
-    for s in &top {
-        println!(
-            "{},{:.6},{:.3},{},{},{}",
-            s.rank,
-            s.avg_likelihood,
-            s.avg_loss,
-            s.cluster,
-            s.injected_misuse,
-            s.actions.join(" ")
-        );
-    }
-    harness.write_csv(
-        "top20_suspicious",
-        &["rank", "avg_likelihood", "avg_loss", "cluster", "injected", "actions"],
-        top.iter()
-            .map(|s| {
-                vec![
-                    s.rank.to_string(),
-                    fmt(s.avg_likelihood as f64),
-                    fmt(s.avg_loss as f64),
-                    s.cluster.to_string(),
-                    s.injected_misuse.to_string(),
-                    s.actions.join(" "),
-                ]
-            })
-            .collect(),
-    )?;
+    figures::top20_suspicious(&harness, &trained, &dataset)?;
     Ok(())
 }

@@ -141,52 +141,34 @@ impl HttpService {
     pub fn ingest(&self, events: &[SessionEvent]) -> IngestOutcome {
         let mut state = self.lock();
         let mut accepted = 0usize;
+        let mut status = IngestStatus::Complete;
         for event in events {
-            match state.daemon.try_ingest(*event) {
-                Ok(()) => accepted += 1,
-                Err(ServeError::Backpressure { shard }) => {
+            let Err(err) = state.daemon.try_ingest(*event) else {
+                accepted += 1;
+                continue;
+            };
+            status = match err {
+                ServeError::Backpressure { shard } => {
                     self.metrics.backpressure.inc();
-                    self.metrics.events_ingested.add(accepted as u64);
-                    return IngestOutcome {
-                        accepted,
-                        total: events.len(),
-                        status: IngestStatus::Backpressure { shard },
-                    };
+                    IngestStatus::Backpressure { shard }
                 }
-                Err(ServeError::Drained) => {
-                    self.metrics.events_ingested.add(accepted as u64);
-                    return IngestOutcome {
-                        accepted,
-                        total: events.len(),
-                        status: IngestStatus::Drained,
-                    };
+                ServeError::Drained => IngestStatus::Drained,
+                ServeError::ShardFailed { shard } | ServeError::UnknownShard { shard } => {
+                    IngestStatus::ShardFailed { shard }
                 }
-                Err(ServeError::ShardFailed { shard }) | Err(ServeError::UnknownShard { shard }) => {
-                    self.metrics.events_ingested.add(accepted as u64);
-                    return IngestOutcome {
-                        accepted,
-                        total: events.len(),
-                        status: IngestStatus::ShardFailed { shard },
-                    };
-                }
-                Err(_) => {
-                    // Spawn/Io/Core failures surface as a failed shard on
-                    // the event's own shard.
-                    let shard = state.daemon.shard_for(event.user);
-                    self.metrics.events_ingested.add(accepted as u64);
-                    return IngestOutcome {
-                        accepted,
-                        total: events.len(),
-                        status: IngestStatus::ShardFailed { shard },
-                    };
-                }
-            }
+                // Spawn/Io/Core failures surface as a failed shard on the
+                // event's own shard.
+                _ => IngestStatus::ShardFailed {
+                    shard: state.daemon.shard_for(event.user),
+                },
+            };
+            break;
         }
         self.metrics.events_ingested.add(accepted as u64);
         IngestOutcome {
             accepted,
             total: events.len(),
-            status: IngestStatus::Complete,
+            status,
         }
     }
 

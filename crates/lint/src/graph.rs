@@ -15,7 +15,11 @@
 //!   every workspace `len` would drown the graph in false paths. The
 //!   designated files' own bodies are still covered directly by clippy's
 //!   panic lints (each file's `#![deny(..)]`), so this trades recall one
-//!   hop out for precision everywhere.
+//!   hop out for precision everywhere. When the caller's file names the
+//!   impl type of some candidates, only those are kept: a receiver's type
+//!   is named where it is imported, declared or built, so a file naming
+//!   `LstmLm` and neither `NgramLm` nor `HmmLm` calls `LstmLm`'s
+//!   `score_session`. A file naming none of them keeps every candidate.
 //!
 //! Seeds are the public functions of every [`crate::policy::PANIC_FREE_PATHS`]
 //! file. Any reachable function *outside* those files that contains a
@@ -102,6 +106,8 @@ impl Graph {
     /// fns of `src/`-target files become nodes.
     pub fn build(files: &[(FileCtx, FileItems)]) -> Graph {
         let mut nodes: Vec<Node> = Vec::new();
+        // The identifiers of each node's file, parallel to `nodes`.
+        let mut file_idents = Vec::new();
         for (ctx, items) in files {
             if ctx.target_kind != crate::policy::TargetKind::Src {
                 continue;
@@ -115,6 +121,7 @@ impl Graph {
                     crate_name: ctx.crate_name.clone(),
                     item: f.clone(),
                 });
+                file_idents.push(&items.idents);
             }
         }
 
@@ -162,9 +169,23 @@ impl Graph {
                         if COMMON_METHOD_NAMES.contains(&call.name.as_str()) {
                             continue;
                         }
-                        if let Some(cands) = methods.get(call.name.as_str()) {
-                            targets.extend(cands.iter().filter(|j| in_closure(j)));
-                        }
+                        let Some(cands) = methods.get(call.name.as_str()) else {
+                            continue;
+                        };
+                        let reachable: Vec<usize> =
+                            cands.iter().copied().filter(|j| in_closure(j)).collect();
+                        let named: Vec<usize> = reachable
+                            .iter()
+                            .copied()
+                            .filter(|&j| {
+                                nodes[j]
+                                    .item
+                                    .self_type
+                                    .as_ref()
+                                    .is_some_and(|t| file_idents[i].contains(t))
+                            })
+                            .collect();
+                        targets.extend(if named.is_empty() { reachable } else { named });
                     }
                     CallKind::Free(qual) => match qual.last().map(String::as_str) {
                         None => {

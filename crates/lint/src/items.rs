@@ -14,6 +14,8 @@
 //! would need a type checker; the consumers document the resolution policy
 //! they apply (see [`crate::graph`]).
 
+use std::collections::BTreeSet;
+
 use crate::lexer::{Tok, TokKind};
 use crate::policy::FileCtx;
 use crate::rules::{is_index_bracket, test_region_mask};
@@ -139,6 +141,9 @@ pub struct FileItems {
     pub fences: Vec<FenceSite>,
     /// Wire-surface extracts (populated only for wire-surface files).
     pub wire: WireExtract,
+    /// Every identifier in the file outside comments and string literals:
+    /// the types a method call's receiver can be named by.
+    pub idents: BTreeSet<String>,
 }
 
 /// Atomic method names that target an atomic cell.
@@ -270,6 +275,10 @@ pub fn extract(ctx: &FileCtx, tokens: &[Tok]) -> FileItems {
             Scope::Fn(i) => Some(*i),
             _ => None,
         });
+
+        if tok.kind == TokKind::Ident {
+            out.idents.insert(tok.text.clone());
+        }
 
         // ---- body extracts ----
         if tok.kind == TokKind::Ident && tok.text != "fn" {

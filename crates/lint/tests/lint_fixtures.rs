@@ -167,6 +167,36 @@ fn graph_fixtures_cross_file_transitive_panic() {
 }
 
 #[test]
+fn graph_fixtures_method_calls_keep_the_impl_types_their_file_names() {
+    // Two types in one dependency file share the method name `weigh`. An
+    // entry file that names one of them gets one edge; an entry file that
+    // names neither keeps both candidates, as name-only resolution did.
+    let flagged = |entry: &str| {
+        let files = vec![
+            scan_items("crates/lm/src/scorer.rs", entry),
+            scan_items(
+                "crates/nn/src/scales.rs",
+                include_str!("fixtures/graph_twin_sink.rs"),
+            ),
+        ];
+        let (_, flagged, summary) = Graph::build(&files).transitive_panics();
+        let names: Vec<String> = flagged.into_iter().map(|f| f.name).collect();
+        (summary.edges, names)
+    };
+    assert_eq!(
+        flagged(include_str!("fixtures/graph_twin_named.rs")),
+        (1, vec!["Tally::weigh".to_string()])
+    );
+    assert_eq!(
+        flagged(include_str!("fixtures/graph_twin_unnamed.rs")),
+        (
+            2,
+            vec!["Tally::weigh".to_string(), "Census::weigh".to_string()]
+        )
+    );
+}
+
+#[test]
 fn conc_fixture_fires_blocking_and_pairing_rules() {
     let files = vec![scan_items(
         "crates/served/src/queue.rs",

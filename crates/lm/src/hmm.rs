@@ -222,7 +222,6 @@ impl HmmLm {
     /// Predictive distribution over the next action given an observed
     /// prefix (uniform for an empty model, proper simplex otherwise).
     /// Returns an empty vector for a shape-inconsistent (corrupt) model.
-    // ibcm-lint: allow(transitive-panic, reason = "check_model verified pi/a/b shape consistency before any indexing, and w is clamped to v-1")
     pub fn next_probs(&self, prefix: &[usize]) -> Vec<f64> {
         if self.check_model().is_err() {
             return Vec::new();
@@ -281,7 +280,6 @@ impl HmmLm {
     /// # Errors
     ///
     /// Returns [`LmError::ActionOutOfVocab`] or [`LmError::Scoring`].
-    // ibcm-lint: allow(transitive-panic, reason = "tokens are validated < vocab above and check_model guarantees a vocab-sized simplex from next_probs")
     pub fn try_score_session(&self, seq: &[usize]) -> Result<SessionScore, LmError> {
         self.check_model()?;
         if let Some(&t) = seq.iter().find(|&&t| t >= self.config.vocab) {

@@ -113,7 +113,6 @@ impl NgramLm {
     }
 
     /// Next-action probability distribution given the observed prefix.
-    // ibcm-lint: allow(transitive-panic, reason = "train rejects tokens >= vocab, so stored count keys bound acc/probs indexing; o < order == counts.len()")
     pub fn next_probs(&self, prefix: &[usize]) -> Vec<f64> {
         let v = self.config.vocab;
         let k = self.config.smoothing;
@@ -157,7 +156,6 @@ impl NgramLm {
     }
 
     /// Scores one session like [`crate::LstmLm::score_session`].
-    // ibcm-lint: allow(transitive-panic, reason = "matches LstmLm::score_session's trusted-input contract and next_probs returns a vocab-sized distribution")
     pub fn score_session(&self, seq: &[usize]) -> SessionScore {
         if seq.len() < 2 {
             return SessionScore {

@@ -915,3 +915,101 @@ fn connection_admission_control_rejects_with_503() {
     drop(held);
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// 4. The other two stop statuses: 409 after a drain, 503 from a shard out
+//    of service. Both report how much of the batch was accepted.
+// ---------------------------------------------------------------------------
+
+fn ndjson(events: &[SessionEvent]) -> String {
+    events.iter().map(|e| event_line(e) + "\n").collect()
+}
+
+#[test]
+fn ingest_after_drain_returns_409_with_its_accepted_count() {
+    let (dataset, _) = fixture();
+    let events = ibcm::chaos::event_stream(dataset);
+    let batch = &events[..3];
+    let (mut server, service) = serve(1024);
+    let addr = server.local_addr();
+    let before = request(addr, "POST", "/v1/events", Some(&ndjson(batch)));
+    assert_eq!(before.status, 200, "{}", before.body);
+    service.drain().expect("drain");
+
+    assert_eq!(
+        service.ingest(batch),
+        ibcm::http::IngestOutcome {
+            accepted: 0,
+            total: 3,
+            status: ibcm::http::IngestStatus::Drained,
+        }
+    );
+    let resp = request(addr, "POST", "/v1/events", Some(&ndjson(batch)));
+    assert_eq!(resp.status, 409, "{}", resp.body);
+    assert_eq!(json_field(&resp.body, "code"), Some("\"drained\""));
+    assert_eq!(json_field(&resp.body, "accepted"), Some("0"));
+    assert_eq!(json_field(&resp.body, "total"), Some("3"));
+    server.shutdown();
+}
+
+#[test]
+fn event_owned_by_a_failed_shard_returns_503_with_its_accepted_count() {
+    let (_, detector) = fixture();
+    let detector = Arc::new(detector.clone());
+    // A restart budget of zero: the first crash takes the shard out of
+    // service.
+    let mut daemon = Daemon::new(
+        Arc::clone(&detector),
+        served_config(1024).with_supervision(0, 0, 0),
+        CheckpointStore::memory(),
+    )
+    .expect("daemon construction");
+    let dead = 1usize;
+    let owned_by = |wanted: bool| {
+        (0..)
+            .map(ibcm::UserId)
+            .find(|&u| (daemon.shard_for(u) == dead) == wanted)
+            .expect("a user for every shard")
+    };
+    let event = |user| SessionEvent {
+        user,
+        action: ibcm::ActionId(0),
+        minute: 0,
+    };
+    let batch = [
+        event(owned_by(false)),
+        event(owned_by(true)),
+        event(owned_by(false)),
+    ];
+
+    daemon.kill_shard(dead).expect("kill");
+    // The worker panics at its next command; supervision, which runs on
+    // every daemon call, then finds the budget spent.
+    let mut polls = 0;
+    while daemon.failed_shards() != [dead] {
+        polls += 1;
+        assert!(polls < 6_000, "shard {dead} never failed");
+        daemon.poll_alarms();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let service = Arc::new(HttpService::new(detector, daemon, 1024, 1024));
+    assert_eq!(
+        service.ingest(&batch),
+        ibcm::http::IngestOutcome {
+            accepted: 1,
+            total: 3,
+            status: ibcm::http::IngestStatus::ShardFailed { shard: dead },
+        }
+    );
+    let mut server =
+        HttpServer::bind(HttpConfig::new(), Arc::clone(&service)).expect("bind loopback");
+    let addr = server.local_addr();
+    let resp = request(addr, "POST", "/v1/events", Some(&ndjson(&batch)));
+    assert_eq!(resp.status, 503, "{}", resp.body);
+    assert_eq!(json_field(&resp.body, "code"), Some("\"shard_failed\""));
+    assert_eq!(json_field(&resp.body, "accepted"), Some("1"));
+    assert_eq!(json_field(&resp.body, "total"), Some("3"));
+    server.shutdown();
+    service.drain().expect("drain");
+}
