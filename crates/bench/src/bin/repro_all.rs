@@ -156,12 +156,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Ablations ---------------------------------------------------------------
     figures::abl_router(&harness, &trained)?;
 
-    let _ = writeln!(
-        summary,
-        "---\ntotal wall time: {:.1}s\n",
-        t_start.elapsed().as_secs_f64()
-    );
     harness.write_file("summary.md", &summary)?;
     println!("{summary}");
+    // On stderr, not in summary.md: the committed results stay equal to a
+    // fresh run.
+    eprintln!(
+        "[ibcm] total wall time: {:.1}s",
+        t_start.elapsed().as_secs_f64()
+    );
     Ok(())
 }

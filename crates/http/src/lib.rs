@@ -16,7 +16,7 @@
 //! | `POST /v1/events`   | `Daemon::try_ingest` per NDJSON line |
 //! | `POST /v1/score`    | `MisuseDetector::score_session`      |
 //! | `GET /v1/alarms`    | `Daemon::poll_alarms`, cursor-paged  |
-//! | `POST /v1/checkpoint` | `Daemon::request_checkpoint` + `flush_checkpoints` |
+//! | `POST /v1/checkpoint` | `Daemon::request_checkpoint`          |
 //! | `GET /healthz`      | liveness (no daemon state touched)   |
 //! | `GET /readyz`       | failed-shard / drained readiness     |
 //! | `GET /metrics`      | `ibcm_obs::global().render_prometheus()` |

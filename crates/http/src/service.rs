@@ -204,15 +204,11 @@ impl HttpService {
         }
     }
 
-    /// Requests an on-demand checkpoint from every live shard and waits
-    /// out background rotation of snapshots already submitted. Returns
+    /// Requests an on-demand checkpoint from every live shard. Returns
     /// how many shards were signalled; the write itself completes when
     /// each worker next drains its queue (hence `202` on the wire).
     pub fn checkpoint(&self) -> Result<usize, ServeError> {
-        let mut state = self.lock();
-        let signalled = state.daemon.request_checkpoint()?;
-        state.daemon.flush_checkpoints();
-        Ok(signalled)
+        self.lock().daemon.request_checkpoint()
     }
 
     /// The readiness snapshot.

@@ -1,5 +1,6 @@
-//! The `ibcm-lint` binary: lints the workspace and exits nonzero on any
-//! unsuppressed finding, a stale pragma included.
+//! The `ibcm-lint` binary: lints the workspace in the current directory
+//! (or `--root`) and exits nonzero on any unsuppressed finding, a stale
+//! pragma included. The text summary line names the tree it scanned.
 //!
 //! ```text
 //! cargo run -p ibcm-lint --               # human-readable text
@@ -38,6 +39,8 @@ fn main() -> ExitCode {
                      USAGE: ibcm-lint [--json] [--graph-report] [--suppressions]\n\
                      \x20                [--root <dir>]\n\
                      \n\
+                     --root <dir>     the workspace to lint (default: the\n\
+                     \x20                current directory)\n\
                      --json           machine-readable report (schema ibcm-lint/3)\n\
                      --graph-report   append the call-graph evidence: each hot-path-\n\
                      \x20                reachable panicking fn as an entry->...->sink\n\
@@ -61,7 +64,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let root = root.unwrap_or_else(workspace_root);
+    let root = match root.map_or_else(std::env::current_dir, Ok) {
+        Ok(root) => root,
+        Err(e) => {
+            eprintln!("ibcm-lint: cannot read the current directory: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let report = match ibcm_lint::lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
@@ -87,15 +96,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::from(1)
     }
-}
-
-/// The workspace root: two levels up from this crate's manifest when built
-/// in-tree (`crates/lint` -> workspace), else the current directory.
-fn workspace_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(|p| p.parent())
-        .map(|p| p.to_path_buf())
-        .unwrap_or_else(|| PathBuf::from("."))
 }

@@ -38,7 +38,6 @@ pub const PANIC_FREE_PATHS: &[&str] = &[
     "crates/served/src/shard.rs",
     "crates/served/src/supervisor.rs",
     "crates/served/src/queue.rs",
-    "crates/served/src/writer.rs",
     // The HTTP front end parses untrusted network bytes; a panic there is
     // a dropped connection at best and a crashed acceptor at worst.
     "crates/http/src/json.rs",
@@ -88,7 +87,6 @@ pub const ATOMIC_PROTOCOL_PATHS: &[&str] = &[
     "crates/served/src/queue.rs",
     "crates/served/src/shard.rs",
     "crates/served/src/supervisor.rs",
-    "crates/served/src/writer.rs",
     "crates/http/src/server.rs",
 ];
 

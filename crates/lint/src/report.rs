@@ -76,8 +76,9 @@ impl Report {
         let used = self.suppressions.iter().filter(|s| s.used).count();
         let _ = writeln!(
             out,
-            "ibcm-lint: {} files, {} errors, {} suppressions ({} used), \
+            "ibcm-lint: {}: {} files, {} errors, {} suppressions ({} used), \
              graph {} fns / {} edges / {} reachable from {} seeds",
+            self.root,
             self.files_scanned,
             self.error_count(),
             self.suppressions.len(),

@@ -77,7 +77,6 @@ mod queue;
 mod rotation;
 mod shard;
 mod supervisor;
-mod writer;
 
 pub use campaign::{run_campaign, CampaignReport};
 pub use config::ServedConfig;

@@ -15,7 +15,6 @@ pub(crate) struct ShardMetrics {
     pub(crate) queue_depth: Gauge,
     pub(crate) queue_overflows: Counter,
     pub(crate) worker_batches: Counter,
-    pub(crate) checkpoint_stalls: Counter,
     pub(crate) checkpoints_written: Counter,
     pub(crate) checkpoints_failed: Counter,
     pub(crate) restores_newest: Counter,
@@ -27,13 +26,16 @@ impl ShardMetrics {
     pub(crate) fn for_shard(shard: usize) -> Self {
         let s = shard.to_string();
         let shard_label: &[(&str, &str)] = &[("shard", &s)];
+        // Registered at 0 and never incremented: workers rotate their own
+        // checkpoints, so none waits on a writer. The series stays for the
+        // dashboards and the benchmark probe that read it.
+        names::SERVED_CHECKPOINT_STALLS.counter_labeled(shard_label);
         ShardMetrics {
             restarts: names::SERVED_SHARD_RESTARTS.counter_labeled(shard_label),
             backoff_ms: names::SERVED_RESTART_BACKOFF_MS.gauge_labeled(shard_label),
             queue_depth: names::SERVED_QUEUE_DEPTH.gauge_labeled(shard_label),
             queue_overflows: names::SERVED_QUEUE_OVERFLOWS.counter_labeled(shard_label),
             worker_batches: names::SERVED_WORKER_BATCHES.counter_labeled(shard_label),
-            checkpoint_stalls: names::SERVED_CHECKPOINT_STALLS.counter_labeled(shard_label),
             checkpoints_written: names::SERVED_CHECKPOINTS
                 .counter_labeled(&[("shard", &s), ("outcome", "written")]),
             checkpoints_failed: names::SERVED_CHECKPOINTS

@@ -7,7 +7,15 @@
 //! re-checks the shard's crashed flag every 5 ms, so a crashed worker
 //! needs to signal nothing.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -135,10 +143,7 @@ impl<T> BoundedQueue<T> {
                 self.not_full.notify_one();
                 return item;
             }
-            q = self
-                .not_empty
-                .wait(q)
-                .unwrap_or_else(|e| e.into_inner());
+            q = self.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -161,10 +166,7 @@ impl<T> BoundedQueue<T> {
                 self.not_full.notify_one();
                 return n;
             }
-            q = self
-                .not_empty
-                .wait(q)
-                .unwrap_or_else(|e| e.into_inner());
+            q = self.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
         }
     }
 }

@@ -200,8 +200,10 @@ impl CheckpointStore {
             CheckpointStore::Memory(map) => {
                 let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
                 map.insert((shard, covered_seq), frame);
-                let mut seqs: Vec<u64> =
-                    map.range((shard, 0)..=(shard, u64::MAX)).map(|((_, s), _)| *s).collect();
+                let mut seqs: Vec<u64> = map
+                    .range((shard, 0)..=(shard, u64::MAX))
+                    .map(|((_, s), _)| *s)
+                    .collect();
                 seqs.sort_unstable_by(|a, b| b.cmp(a));
                 for &old in seqs.iter().skip(keep) {
                     map.remove(&(shard, old));
@@ -241,7 +243,10 @@ impl CheckpointStore {
             }
             CheckpointStore::Memory(map) => {
                 let map = map.lock().unwrap_or_else(|e| e.into_inner());
-                Ok(map.range((shard, 0)..=(shard, u64::MAX)).map(|((_, s), _)| *s).collect())
+                Ok(map
+                    .range((shard, 0)..=(shard, u64::MAX))
+                    .map(|((_, s), _)| *s)
+                    .collect())
             }
         }
     }
@@ -254,12 +259,10 @@ impl CheckpointStore {
         let mut out = Vec::new();
         for seq in seqs {
             let frame = match self {
-                CheckpointStore::Disk(root) => {
-                    match fs::read(Self::gen_path(root, shard, seq)) {
-                        Ok(bytes) => bytes,
-                        Err(_) => continue,
-                    }
-                }
+                CheckpointStore::Disk(root) => match fs::read(Self::gen_path(root, shard, seq)) {
+                    Ok(bytes) => bytes,
+                    Err(_) => continue,
+                },
                 CheckpointStore::Memory(map) => {
                     let map = map.lock().unwrap_or_else(|e| e.into_inner());
                     match map.get(&(shard, seq)) {
@@ -475,10 +478,12 @@ mod props {
         let expected_valid: Vec<(u64, Vec<u8>)> = model
             .iter()
             .rev()
-            .filter_map(|(seq, frame)| decode(SHARD, frame).map(|(s, ibcs)| {
-                assert_eq!(s, *seq);
-                (*seq, ibcs)
-            }))
+            .filter_map(|(seq, frame)| {
+                decode(SHARD, frame).map(|(s, ibcs)| {
+                    assert_eq!(s, *seq);
+                    (*seq, ibcs)
+                })
+            })
             .collect();
         assert_eq!(gens.len(), expected_valid.len());
         for (gen, (seq, ibcs)) in gens.iter().zip(&expected_valid) {

@@ -5,21 +5,29 @@
 //! bounded ingest queue (one lock acquisition per run), applies the
 //! supervisor's admissions and sheds to its monitor, publishes alarms
 //! (tagged with their global sequence number) through shared state, and
-//! snapshots `IBCS` checkpoints on a command-count cadence — handing the
-//! rotation I/O to the shard's background writer. The processed
-//! watermark advances per command, release-ordered after the outputs it
-//! covers. Panics —
-//! including deliberate chaos kills — are caught at the [`run_worker`]
-//! `catch_unwind` boundary; the worker records its exit state and
-//! returns, leaving the restart decision to the supervisor (a producer
-//! blocked on the full queue notices the crash at its next poll).
+//! rotates `IBCS` checkpoints into the shard's store on a command-count
+//! cadence. The processed watermark advances per command, release-ordered
+//! after the outputs it covers. Panics and deliberate chaos kills unwind
+//! to the [`run_worker`] `catch_unwind` boundary; the worker records its
+//! exit state and returns, leaving the restart decision to the supervisor
+//! (a producer blocked on the full queue notices the crash at its next
+//! poll).
 //!
-//! This file is on the linter's panic-free hot-path list: the only panic
-//! is the deliberate chaos kill switch, which exists to be caught.
+//! This file is on the linter's panic-free hot-path list. The chaos kill
+//! switch unwinds with `resume_unwind`, which never calls the process's
+//! panic hook, so a host that embeds the daemon keeps its own hook.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -28,9 +36,8 @@ use ibcm_logsim::UserId;
 
 use crate::metrics::ShardMetrics;
 use crate::queue::BoundedQueue;
-use crate::rotation::Generation;
+use crate::rotation::{CheckpointStore, Generation};
 use crate::supervisor::MergedAlarm;
-use crate::writer::WriterShared;
 
 /// Commands a worker pops per queue wakeup. Runs amortize the queue lock;
 /// a run never spans more than the queue holds, so an idle shard still
@@ -46,11 +53,6 @@ pub(crate) const WORKER_CRASHED: u8 = 1;
 pub(crate) const WORKER_CRASHED_ON_RESTORE: u8 = 2;
 /// Worker state: drained cleanly after a final checkpoint.
 pub(crate) const WORKER_DRAINED: u8 = 3;
-
-/// Panic message marking a deliberate chaos kill. The process-wide panic
-/// hook suppresses the default stderr report for payloads carrying this
-/// marker; everything else is reported normally.
-pub(crate) const CHAOS_KILL_MSG: &str = "ibcm-served: deliberate chaos kill";
 
 /// One command on a shard's ingest queue. `Deliver` and `Shed` are data
 /// commands and carry a global sequence number; `Kill` and `Drain` are
@@ -75,7 +77,7 @@ pub(crate) enum ShardCommand {
         /// The victim.
         user: UserId,
     },
-    /// Chaos: panic at the catch_unwind boundary.
+    /// Chaos: unwind to the catch_unwind boundary.
     Kill,
     /// Operator request: write a checkpoint now (same rotation path as the
     /// cadence checkpoint), then keep processing. Carries no sequence
@@ -109,7 +111,7 @@ pub(crate) struct ShardShared {
     pub(crate) processed: AtomicU64,
     /// Covered seq of the oldest retained checkpoint generation — the
     /// durable floor below which the supervisor may trim its replay
-    /// buffer. Advanced by the shard's background writer.
+    /// buffer. The worker stores it (release) after each rotation.
     pub(crate) durable_floor: AtomicU64,
     /// Alarms awaiting collection by the supervisor's merge.
     pub(crate) outputs: Mutex<Vec<MergedAlarm>>,
@@ -145,6 +147,8 @@ pub(crate) struct WorkerPlan {
     pub(crate) stream: StreamConfig,
     /// Checkpoint cadence in processed data commands (0 = drain-only).
     pub(crate) checkpoint_every: u64,
+    /// Keep-K: generations the shard's store retains.
+    pub(crate) keep_checkpoints: usize,
 }
 
 /// How the worker loop ended.
@@ -164,9 +168,10 @@ struct WorkerCtx<'a> {
     shard: usize,
     suppress_through: u64,
     shared: &'a ShardShared,
-    writer: &'a WriterShared,
+    store: &'a CheckpointStore,
     metrics: &'a ShardMetrics,
     checkpoint_every: u64,
+    keep_checkpoints: usize,
     since_checkpoint: u64,
     last_seq: u64,
 }
@@ -179,11 +184,11 @@ pub(crate) fn run_worker(
     queue: Arc<BoundedQueue<ShardCommand>>,
     shared: Arc<ShardShared>,
     metrics: ShardMetrics,
-    writer: Arc<WriterShared>,
+    store: Arc<CheckpointStore>,
 ) {
     let shared_for_exit = Arc::clone(&shared);
     let outcome = catch_unwind(AssertUnwindSafe(move || {
-        worker_loop(&detector, plan, &queue, &shared, &metrics, &writer)
+        worker_loop(&detector, plan, &queue, &shared, &metrics, &store)
     }));
     let state = match outcome {
         Ok(WorkerExit::Drained) => WORKER_DRAINED,
@@ -199,7 +204,7 @@ fn worker_loop(
     queue: &BoundedQueue<ShardCommand>,
     shared: &ShardShared,
     metrics: &ShardMetrics,
-    writer: &WriterShared,
+    store: &CheckpointStore,
 ) -> WorkerExit {
     let WorkerPlan {
         shard,
@@ -208,6 +213,7 @@ fn worker_loop(
         suppress_through,
         stream,
         checkpoint_every,
+        keep_checkpoints,
     } = plan;
     let mut sm = match restore {
         None => detector.stream_monitor(stream),
@@ -220,9 +226,10 @@ fn worker_loop(
         shard,
         suppress_through,
         shared,
-        writer,
+        store,
         metrics,
         checkpoint_every,
+        keep_checkpoints,
         since_checkpoint: 0,
         last_seq: shared.processed.load(Ordering::Acquire),
     };
@@ -262,10 +269,9 @@ fn step(sm: &mut StreamMonitor<'_>, cmd: ShardCommand, ctx: &mut WorkerCtx<'_>) 
             finish_data(sm, seq, ctx);
             Flow::Continue
         }
-        #[expect(clippy::panic, reason = "deliberate chaos kill switch; always caught at run_worker's catch_unwind boundary and handled by the supervisor's restart protocol")]
-        ShardCommand::Kill => {
-            panic!("{CHAOS_KILL_MSG}")
-        }
+        // Caught at run_worker's catch_unwind boundary and handled by the
+        // supervisor's restart protocol.
+        ShardCommand::Kill => resume_unwind(Box::new("ibcm-served: chaos kill")),
         ShardCommand::Checkpoint => {
             write_checkpoint(sm, ctx.last_seq, ctx);
             // The on-demand snapshot restarts the cadence clock: the next
@@ -275,9 +281,6 @@ fn step(sm: &mut StreamMonitor<'_>, cmd: ShardCommand, ctx: &mut WorkerCtx<'_>) 
         }
         ShardCommand::Drain => {
             write_checkpoint(sm, ctx.last_seq, ctx);
-            // The drain contract is "final checkpoint durable when the
-            // worker exits"; wait out the background rotation.
-            ctx.writer.flush();
             Flow::Drained
         }
     }
@@ -315,8 +318,24 @@ fn finish_data(sm: &StreamMonitor<'_>, seq: u64, ctx: &mut WorkerCtx<'_>) {
     }
 }
 
-/// Snapshots the monitor and hands the bytes to the shard's background
-/// writer, which performs the rotation off the ingest path.
+/// Snapshots the monitor and rotates the snapshot into the shard's store.
+/// A saved generation advances the durable floor, release-ordered after
+/// the rotation, so the supervisor trims its replay buffer only below a
+/// generation that exists.
 fn write_checkpoint(sm: &StreamMonitor<'_>, covered_seq: u64, ctx: &WorkerCtx<'_>) {
-    ctx.writer.submit(covered_seq, sm.checkpoint(), ctx.metrics);
+    let saved = ctx.store.save(
+        ctx.shard,
+        covered_seq,
+        &sm.checkpoint(),
+        ctx.keep_checkpoints,
+    );
+    match saved {
+        Ok(receipt) => {
+            ctx.metrics.checkpoints_written.inc();
+            ctx.shared
+                .durable_floor
+                .store(receipt.oldest_retained, Ordering::Release);
+        }
+        Err(_) => ctx.metrics.checkpoints_failed.inc(),
+    }
 }

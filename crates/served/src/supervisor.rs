@@ -24,11 +24,19 @@
 //!
 //! This file is on the linter's panic-free hot-path list.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented, clippy::indexing_slicing)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ibcm_core::{
@@ -43,10 +51,9 @@ use crate::metrics::{DaemonMetrics, ShardMetrics};
 use crate::queue::BoundedQueue;
 use crate::rotation::CheckpointStore;
 use crate::shard::{
-    run_worker, ShardCommand, ShardShared, WorkerPlan, CHAOS_KILL_MSG, WORKER_CRASHED,
-    WORKER_CRASHED_ON_RESTORE, WORKER_DRAINED, WORKER_RUNNING,
+    run_worker, ShardCommand, ShardShared, WorkerPlan, WORKER_CRASHED, WORKER_CRASHED_ON_RESTORE,
+    WORKER_DRAINED, WORKER_RUNNING,
 };
-use crate::writer::{CheckpointWriter, WriterShared};
 
 /// An alarm in the merged stream, tagged with its global sequence number
 /// and the shard that produced it. Alarms are released in `seq` order;
@@ -112,9 +119,6 @@ struct ShardHandle {
     queue: Arc<BoundedQueue<ShardCommand>>,
     shared: Arc<ShardShared>,
     handle: Option<ManagedHandle>,
-    /// The shard's background checkpoint writer. Owned by the shard, not
-    /// the worker incarnation: it survives crashes and is joined at drain.
-    writer: CheckpointWriter,
     metrics: ShardMetrics,
     /// Data commands since the durable floor, for post-crash replay.
     replay: VecDeque<ShardCommand>,
@@ -164,7 +168,10 @@ impl PendingRing {
     /// Insert-or-overwrite at the alarm's seq. Seqs below `base` were
     /// already released (callers filter on `released_through`, which
     /// equals `base - 1`); they are dropped.
-    #[expect(clippy::indexing_slicing, reason = "idx < slots.len() — the resize_with above grows the buffer through idx")]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx < slots.len() — the resize_with above grows the buffer through idx"
+    )]
     fn insert(&mut self, merged: MergedAlarm) {
         let Some(offset) = merged.seq.checked_sub(self.base) else {
             return;
@@ -222,27 +229,6 @@ pub struct Daemon {
     drained: bool,
 }
 
-/// Installs (once per process) a panic hook that silences the default
-/// stderr report for deliberate chaos kills and forwards everything else.
-fn install_chaos_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let is_kill = payload
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.contains(CHAOS_KILL_MSG))
-                || payload
-                    .downcast_ref::<String>()
-                    .is_some_and(|s| s.contains(CHAOS_KILL_MSG));
-            if !is_kill {
-                previous(info);
-            }
-        }));
-    });
-}
-
 impl Daemon {
     /// Starts the daemon: spawns one supervised worker per shard (the
     /// shard count is clamped to at least 1 — the honest singleton
@@ -253,7 +239,6 @@ impl Daemon {
         mut config: ServedConfig,
         store: CheckpointStore,
     ) -> Result<Daemon, ServeError> {
-        install_chaos_hook();
         config.shards = config.shards.max(1);
         // One admission can need up to two slots on a single queue (a
         // capacity shed plus the delivery itself); a single-slot queue
@@ -270,13 +255,6 @@ impl Daemon {
             let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
             let shared = Arc::new(ShardShared::new());
             let shard_metrics = ShardMetrics::for_shard(shard);
-            let writer = CheckpointWriter::spawn(
-                shard,
-                Arc::clone(&store),
-                Arc::clone(&shared),
-                shard_metrics.clone(),
-                config.keep_checkpoints,
-            )?;
             let plan = WorkerPlan {
                 shard,
                 restore: None,
@@ -284,6 +262,7 @@ impl Daemon {
                 suppress_through: 0,
                 stream: config.stream.clone(),
                 checkpoint_every: config.checkpoint_every,
+                keep_checkpoints: config.keep_checkpoints,
             };
             let handle = spawn_worker(
                 Arc::clone(&detector),
@@ -291,13 +270,12 @@ impl Daemon {
                 Arc::clone(&queue),
                 Arc::clone(&shared),
                 shard_metrics.clone(),
-                writer.sink(),
+                Arc::clone(&store),
             )?;
             shards.push(ShardHandle {
                 queue,
                 shared,
                 handle: Some(handle),
-                writer,
                 metrics: shard_metrics,
                 replay: VecDeque::new(),
                 sent_watermark: 0,
@@ -460,11 +438,9 @@ impl Daemon {
 
     /// Operator request: every live shard takes a checkpoint at its next
     /// queue wakeup (the same snapshot + rotation path as the cadence
-    /// checkpoint). The request is asynchronous — the workers write their
-    /// snapshots as they drain their queues; combine with
-    /// [`Daemon::flush_checkpoints`] to wait out background rotation of
-    /// snapshots already handed to the writers. Returns how many shards
-    /// were signalled.
+    /// checkpoint). The request is asynchronous — each worker rotates its
+    /// snapshot when it reaches the request in its queue. Returns how many
+    /// shards were signalled.
     ///
     /// # Errors
     ///
@@ -487,14 +463,6 @@ impl Daemon {
             signalled += 1;
         }
         Ok(signalled)
-    }
-
-    /// Blocks until every snapshot already handed to a background
-    /// checkpoint writer is durably rotated.
-    pub fn flush_checkpoints(&self) {
-        for h in &self.shards {
-            h.writer.flush();
-        }
     }
 
     /// Shards taken out of service (restart budget exhausted without
@@ -536,25 +504,12 @@ impl Daemon {
         Ok(())
     }
 
-    /// Chaos: corrupt the newest checkpoint generation of `shard` so its
-    /// next restore must fall back to the prior generation. Returns
-    /// whether a generation was corrupted. Any snapshot in flight to the
-    /// background writer is rotated first, so "newest" is the newest
-    /// snapshot the worker has taken, not whichever the writer reached.
-    pub fn corrupt_newest_checkpoint(&self, shard: usize) -> bool {
-        if let Some(h) = self.shards.get(shard) {
-            h.writer.flush();
-        }
-        self.store.corrupt_newest(shard)
-    }
-
     /// Chaos: corrupt `shard`'s newest checkpoint generation at the
     /// moment of its *next restart* — after its final pre-crash rotation,
     /// before candidate selection — so that restart must fall back to the
-    /// prior checksum-valid generation. Unlike
-    /// [`Daemon::corrupt_newest_checkpoint`], this cannot race with a
-    /// later cadence checkpoint making a fresh valid generation the
-    /// newest.
+    /// prior checksum-valid generation. Corrupting at the restart, not
+    /// now, means no later cadence checkpoint can make a fresh valid
+    /// generation the newest.
     pub fn corrupt_newest_on_restart(&mut self, shard: usize) {
         self.pending_corruptions.insert(shard);
     }
@@ -589,6 +544,7 @@ impl Daemon {
         let store = Arc::clone(&self.store);
         let stream = self.config.stream.clone();
         let checkpoint_every = self.config.checkpoint_every;
+        let keep_checkpoints = self.config.keep_checkpoints;
         let max_restarts = self.config.max_restarts;
         let base_ms = self.config.backoff_base_ms;
         let cap_ms = self.config.backoff_cap_ms;
@@ -598,6 +554,9 @@ impl Daemon {
         let Some(h) = self.shards.get_mut(shard) else {
             return Err(ServeError::UnknownShard { shard });
         };
+        // Once the dead worker is joined, the store holds exactly the
+        // generations it rotated: candidate selection below cannot race a
+        // write.
         if let Some(join) = h.handle.take() {
             let _ = join.join();
         }
@@ -630,13 +589,6 @@ impl Daemon {
         if backoff_ms > 0 {
             std::thread::sleep(Duration::from_millis(backoff_ms));
         }
-
-        // Every snapshot the dead incarnation handed to the background
-        // writer must be durably rotated before corruption scheduling
-        // and restore-candidate selection run — this is what keeps the
-        // generation set (and therefore every chaos suite's fallback
-        // arithmetic) independent of writer timing.
-        h.writer.flush();
 
         if self.pending_corruptions.remove(&shard) && store.corrupt_newest(shard) {
             self.corruptions_applied += 1;
@@ -690,6 +642,7 @@ impl Daemon {
             suppress_through: processed,
             stream,
             checkpoint_every,
+            keep_checkpoints,
         };
         // Fresh queue: the dead incarnation's queued commands are a
         // subset of the replay buffer, so nothing is lost.
@@ -701,7 +654,7 @@ impl Daemon {
             Arc::clone(&h.queue),
             Arc::clone(&h.shared),
             h.metrics.clone(),
-            h.writer.sink(),
+            store,
         )?);
         self.total_restarts += 1;
         Ok(())
@@ -807,12 +760,6 @@ impl Daemon {
             }
         }
 
-        // Workers flushed their final checkpoints before exiting; stop
-        // and join the background writers.
-        for h in &mut self.shards {
-            h.writer.shutdown();
-        }
-
         let alarms = self.release(true);
         let drain_seconds = stopwatch.elapsed_seconds();
         self.metrics.drain_seconds.observe(drain_seconds);
@@ -857,11 +804,11 @@ fn spawn_worker(
     queue: Arc<BoundedQueue<ShardCommand>>,
     shared: Arc<ShardShared>,
     metrics: ShardMetrics,
-    writer: Arc<WriterShared>,
+    store: Arc<CheckpointStore>,
 ) -> Result<ManagedHandle, ServeError> {
     let shard = plan.shard;
     ibcm_par::spawn_managed(format!("ibcm-served-{shard}"), move || {
-        run_worker(detector, plan, queue, shared, metrics, writer)
+        run_worker(detector, plan, queue, shared, metrics, store)
     })
     .map_err(ServeError::Spawn)
 }

@@ -16,8 +16,8 @@ use ibcm_core::chaos::{
 use ibcm_core::{
     AlarmPolicy, FaultCounters, FaultPolicy, MisuseDetector, SessionEvent, StreamConfig,
 };
-use ibcm_logsim::{Dataset, Generator, GeneratorConfig};
 use ibcm_lm::{LmTrainConfig, LstmLm};
+use ibcm_logsim::{Dataset, Generator, GeneratorConfig};
 use ibcm_ocsvm::{ClusterRouter, OcSvm, OcSvmConfig, SessionFeaturizer};
 
 pub struct Fixture {

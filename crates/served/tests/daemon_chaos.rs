@@ -144,8 +144,7 @@ fn tiny_queue_campaign_survives_backpressure_storms() {
     let fix = fixture();
     let (stream, _) = campaign_config(1);
     let reference = monolith_reference(&fix.detector, stream, &fix.events);
-    let campaign =
-        DaemonCampaign::seeded(0xC5, fix.events.len(), 4, 3).with_queue_capacity(2);
+    let campaign = DaemonCampaign::seeded(0xC5, fix.events.len(), 4, 3).with_queue_capacity(2);
     for shards in [2usize, 4] {
         let (_, served) = campaign_config(shards);
         let report = run_campaign(

@@ -25,7 +25,10 @@ fn read_counters() -> Vec<(&'static str, u64)> {
         ("unknown_user", fault("unknown_user")),
         ("dropped", n::STREAM_DROPPED.counter().get()),
         ("shed", n::STREAM_SHED.counter().get()),
-        ("sessions_started", n::STREAM_SESSIONS_STARTED.counter().get()),
+        (
+            "sessions_started",
+            n::STREAM_SESSIONS_STARTED.counter().get(),
+        ),
         ("sessions_ended", n::STREAM_SESSIONS_ENDED.counter().get()),
     ]
 }
@@ -41,7 +44,10 @@ struct Reading {
 /// Reads the registry around `run`. The gauges are set to `-1` first, so a
 /// run that never sets them reads `(-1, -1)`.
 fn reading(run: impl FnOnce()) -> Reading {
-    let (active, clock) = (n::STREAM_ACTIVE_SESSIONS.gauge(), n::STREAM_CLOCK_MINUTE.gauge());
+    let (active, clock) = (
+        n::STREAM_ACTIVE_SESSIONS.gauge(),
+        n::STREAM_CLOCK_MINUTE.gauge(),
+    );
     active.set(-1);
     clock.set(-1);
     let before = read_counters();
@@ -72,8 +78,12 @@ fn monolith_reading(config: &StreamConfig, events: &[SessionEvent]) -> Reading {
 fn daemon_reading(config: &StreamConfig, events: &[SessionEvent]) -> Reading {
     reading(|| {
         let cfg = ServedConfig::new(config.clone()).with_shards(4);
-        let mut daemon =
-            Daemon::new(Arc::clone(&fixture().detector), cfg, CheckpointStore::memory()).unwrap();
+        let mut daemon = Daemon::new(
+            Arc::clone(&fixture().detector),
+            cfg,
+            CheckpointStore::memory(),
+        )
+        .unwrap();
         for event in events {
             daemon.ingest(*event).unwrap();
         }
