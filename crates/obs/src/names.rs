@@ -301,12 +301,12 @@ pub const SERVED_WORKER_BATCHES: MetricDef = MetricDef {
     help: "Command runs a shard worker popped from its ingest queue (commands-per-wakeup amortization; divide processed commands by this for the realized batch size).",
 };
 
-/// Daemon: checkpoint submissions that found the writer busy.
+/// Daemon: always 0, kept registered for the readers of the series.
 pub const SERVED_CHECKPOINT_STALLS: MetricDef = MetricDef {
     name: "ibcm_served_checkpoint_stalls_total",
     kind: MetricKind::Counter,
     labels: &["shard"],
-    help: "Checkpoint snapshots that had to wait for the background writer's swap slot (the shard produced checkpoints faster than the store rotated them).",
+    help: "Always 0: each shard worker rotates its own checkpoints, so no worker waits on a checkpoint writer.",
 };
 
 /// Daemon: restore outcomes per shard.

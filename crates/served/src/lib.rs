@@ -33,12 +33,13 @@
 //!
 //! # Supervision
 //!
-//! Shard panics (including deliberate chaos kills) are caught at a
-//! `catch_unwind` boundary in the worker; the supervisor joins the dead
-//! thread, applies bounded exponential backoff, picks the newest valid
-//! checkpoint generation (falling back across corrupted generations), and
-//! respawns the worker. A shard that keeps crashing without making
-//! progress is marked failed after a configurable number of restarts.
+//! Shard panics, and deliberate chaos kills (which unwind without calling
+//! the panic hook), are caught at a `catch_unwind` boundary in the worker;
+//! the supervisor joins the dead thread, applies bounded exponential
+//! backoff, picks the newest valid checkpoint generation (falling back
+//! across corrupted generations), and respawns the worker. A shard that
+//! keeps crashing without making progress is marked failed after a
+//! configurable number of restarts.
 //! Queue overflow surfaces as [`ServeError::Backpressure`] from
 //! [`Daemon::try_ingest`] — explicit backpressure in the spirit of the
 //! [`ibcm_core::FaultPolicy`] shedding machinery.
